@@ -22,14 +22,16 @@ or an explicit monodromy tuple in cycle notation (whitespace/commas both fine)
                "extras": []}}
 
 with an optional {"options": {"output_format": "text" | "jsonl" | "both",
-"search_limit": int, "max_candidates": int}}.  Structured output is
-line-delimited JSON with a stable field order; all values are integers,
-booleans or strings, so output is byte-identical across runs.
+"search_limit": int, "max_candidates": int}}; any other option is refused.
+Structured output is line-delimited JSON with a stable field order; all
+values are integers, booleans or strings, so output is byte-identical across
+runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -134,11 +136,11 @@ def load_document(path: str):
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise DocumentError("options", "expected an object")
-    known = {"output_format", "search_limit", "max_candidates", "precision_bits", "step_scale"}
+    known = {"output_format", "search_limit", "max_candidates"}
     unknown = set(options) - known
     if unknown:
         raise DocumentError("options", f"unknown fields {sorted(unknown)}")
-    for field in ("search_limit", "max_candidates", "precision_bits", "step_scale"):
+    for field in ("search_limit", "max_candidates"):
         if field in options:
             _expect_int(options[field], f"options.{field}")
     return doc, options
@@ -262,6 +264,12 @@ def cmd_report(args) -> int:
             reports = [hodge.analyze_cover(cover)]
         else:
             data = parse_branch_data(doc["branch_data"])
+            if data.n > hurwitz.MAX_SEARCH_DEGREE:
+                sys.stderr.write(
+                    f"unsupported branch data: degree n = {data.n} exceeds the "
+                    f"tuple search's bound of {hurwitz.MAX_SEARCH_DEGREE}\n"
+                )
+                return EXIT_UNSUPPORTED
             reports = hodge.analyze_branch_data(
                 data, limit=limit, max_candidates=max_candidates
             )
@@ -385,7 +393,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILURE
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="kumfib",
         description="Kummer-fibred Calabi-Yau threefold calculator",
@@ -421,8 +431,11 @@ def main(argv: list[str] | None = None) -> int:
         "--only", nargs="*", metavar="KEY", help="restrict to the named checks"
     )
     p_verify.set_defaults(fn=cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -409,6 +409,10 @@ def _canonical_key(n: int, perms: tuple[Permutation, ...]):
     return best
 
 
+#: The largest degree search_tuples runs its exhaustive search for.
+MAX_SEARCH_DEGREE = 9
+
+
 def search_tuples(
     b: BranchData, limit: int = 16, max_candidates: int = 2_000_000
 ) -> SearchResult:
@@ -423,8 +427,10 @@ def search_tuples(
     Results are truncated (flagged) at `limit` tuples or `max_candidates`
     candidate combinations.
     """
-    if b.n > 9:
-        raise HurwitzError("exhaustive search supports degree at most 9")
+    if b.n > MAX_SEARCH_DEGREE:
+        raise HurwitzError(
+            f"exhaustive search supports degree at most {MAX_SEARCH_DEGREE}"
+        )
     if not b.admits_rational_cover():
         return SearchResult(covers=(), truncated=False)
 

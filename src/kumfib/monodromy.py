@@ -33,13 +33,19 @@ With these conventions the tracker computes (16)(25)(34), (12), (1526)(34);
 the single relabeling swapping labels 4 and 6 carries all three onto the
 pinned REFERENCE_TABLE values simultaneously.
 
-Loops are pure functions of their spec and precision, but within one process
-they share the global mpmath precision context; run concurrent loops in
-separate processes.
+Arithmetic: mpmath's polyroots solves for the six base roots at a chosen
+precision, and Newton's method polishes them in double precision.  The
+loops are then tracked in Python complex arithmetic by a predictor-corrector
+that accepts a step only when no root moves more than a third of the previous
+minimum separation, refuses paths that bring two roots within a safety
+radius, and matches each end point to a unique nearest base root.  A loop is
+a pure function of its spec and the precision of the base-point solve.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
@@ -114,20 +120,23 @@ class TrackedRoots:
 
 # -- the defining polynomial ----------------------------------------------------
 
+#: Newton's stopping rule, relative to |xi|: 10 bits short of double precision.
+NEWTON_TOL = 2.0**-43
+#: How far, relative to the root scale, a closed loop may end from a base root.
+#: A converged double-precision loop ends within about 1e-16; the roots lie
+#: at least a few thousandths apart, and the tolerance never exceeds a third
+#: of their separation.
+CLOSURE_TOL = 2.0**-30
+
 
 def _family_coeffs(lam):
-    a = lam + mpmath.mpf(1) / 144
-    b = mpmath.mpf(3) / 8 * lam - mpmath.mpf(1) / 1728
+    a = lam + 1 / 144
+    b = 0.375 * lam - 1 / 1728
     return a, b
 
 
 def _C(xi, a, b):
     return ((4 * xi) * xi - 3 * a) * xi - b
-
-
-def _S(xi, lam, a, b):
-    c = _C(xi, a, b)
-    return c * c - lam**3
 
 
 def _S_xi(xi, lam, a, b):
@@ -136,7 +145,22 @@ def _S_xi(xi, lam, a, b):
 
 def _S_lam(xi, lam, a, b):
     # dC/dlambda = -3 xi - 3/8
-    return 2 * _C(xi, a, b) * (-3 * xi - mpmath.mpf(3) / 8) - 3 * lam * lam
+    return 2 * _C(xi, a, b) * (-3 * xi - 0.375) - 3 * lam * lam
+
+
+def _newton(xi, lam, a, b):
+    """Newton's method for S(., lam) = C^2 - lam^3, starting at xi."""
+    lam3 = lam**3
+    for _ in range(30):
+        c = _C(xi, a, b)
+        d = 2 * c * (12 * xi * xi - 3 * a)  # S_xi
+        if d == 0:
+            raise MonodromyError("vanishing derivative during correction")
+        step = (c * c - lam3) / d
+        xi = xi - step
+        if abs(step) <= NEWTON_TOL * (1 + abs(xi)):
+            return xi
+    raise MonodromyError("Newton corrector failed to converge")
 
 
 _BASE_CACHE: dict[tuple[int, Fraction], TrackedRoots] = {}
@@ -145,39 +169,58 @@ _BASE_CACHE: dict[tuple[int, Fraction], TrackedRoots] = {}
 def base_configuration(
     precision_bits: int = 128, base_point: Fraction = DEFAULT_BASE_POINT
 ) -> TrackedRoots:
-    """Solve for and label the six roots at the base point (cached)."""
+    """Solve for and label the six roots at the base point (cached).
+
+    mpmath's polyroots solves S(xi, base_point) = 0 at precision_bits; each
+    root is then polished by Newton's method in double precision, the
+    arithmetic the loops are tracked in, so a closed loop ends on roots as
+    accurate as the ones it is matched against, whatever the precision of
+    the solve.
+    """
     key = (precision_bits, base_point)
     if key in _BASE_CACHE:
         return _BASE_CACHE[key]
+    a = base_point + Fraction(1, 144)
+    b = Fraction(3, 8) * base_point - Fraction(1, 1728)
+    coeffs = [16, 0, -24 * a, -8 * b, 9 * a * a, 6 * a * b, b * b - base_point**3]
     with mp.workprec(precision_bits):
-        lam0 = mpmath.mpf(base_point.numerator) / base_point.denominator
-        a, b = _family_coeffs(lam0)
-        coeffs = [16, 0, -24 * a, -8 * b, 9 * a * a, 6 * a * b, b * b - lam0**3]
-        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=precision_bits)
-        sqrt_lam = mpmath.sqrt(mpmath.mpc(lam0))
-        s32 = sqrt_lam**3
-        plus, minus = [], []
-        for xi in roots:
-            xi = mpmath.mpc(xi)
-            ratio = _C(xi, a, b) / s32
-            (plus if abs(ratio - 1) < abs(ratio + 1) else minus).append(xi)
-        if len(plus) != 3 or len(minus) != 3:
-            raise MonodromyError("triple split failed at the base point")
-
-        def sort_key(xi):
-            x = xi / sqrt_lam
-            return (mpmath.re(x), mpmath.im(x))
-
-        plus.sort(key=sort_key)
-        minus.sort(key=sort_key)
-        xi_roots = tuple(plus + minus)
-        x_roots = tuple(xi / sqrt_lam for xi in xi_roots)
-        cfg = TrackedRoots(
-            lam=base_point,
-            xi_roots=xi_roots,
-            x_roots=x_roots,
-            triple_of=(1, 1, 1, 2, 2, 2),
+        solved = mpmath.polyroots(
+            [mpmath.mpf(c.numerator) / c.denominator for c in coeffs],
+            maxsteps=200,
+            extraprec=precision_bits,
         )
+        solved = [complex(xi) for xi in solved]
+    lam0 = complex(base_point)
+    a, b = _family_coeffs(lam0)
+    roots = [_newton(xi, lam0, a, b) for xi in solved]
+    separation = _min_pairwise(solved)
+    if any(abs(p - xi) > separation / 3 for p, xi in zip(roots, solved)):
+        raise MonodromyError(
+            f"base-point roots at {precision_bits} bits too coarse to polish"
+        )
+    sqrt_lam = cmath.sqrt(lam0)
+    s32 = sqrt_lam**3
+    plus, minus = [], []
+    for xi in roots:
+        ratio = _C(xi, a, b) / s32
+        (plus if abs(ratio - 1) < abs(ratio + 1) else minus).append(xi)
+    if len(plus) != 3 or len(minus) != 3:
+        raise MonodromyError("triple split failed at the base point")
+
+    def sort_key(xi):
+        x = xi / sqrt_lam
+        return (x.real, x.imag)
+
+    plus.sort(key=sort_key)
+    minus.sort(key=sort_key)
+    xi_roots = tuple(plus + minus)
+    x_roots = tuple(xi / sqrt_lam for xi in xi_roots)
+    cfg = TrackedRoots(
+        lam=base_point,
+        xi_roots=xi_roots,
+        x_roots=x_roots,
+        triple_of=(1, 1, 1, 2, 2, 2),
+    )
     _BASE_CACHE[key] = cfg
     return cfg
 
@@ -186,18 +229,17 @@ def base_configuration(
 
 
 def _segment(z0, z1):
-    z0, z1 = mpmath.mpc(z0), mpmath.mpc(z1)
-    return (lambda t: z0 + (z1 - z0) * t), abs(z1 - z0)
+    z0, z1 = complex(z0), complex(z1)
+    return lambda t: z0 + (z1 - z0) * t
 
 
 def _arc(center, radius, th0, th1):
-    center = mpmath.mpc(center)
-    radius, th0, th1 = mpmath.mpf(radius), mpmath.mpf(th0), mpmath.mpf(th1)
+    center = complex(center)
 
     def path(t):
-        return center + radius * mpmath.exp(1j * (th0 + (th1 - th0) * t))
+        return center + radius * cmath.exp(1j * (th0 + (th1 - th0) * t))
 
-    return path, radius * abs(th1 - th0)
+    return path
 
 
 def _loop_pieces(spec: LoopSpec):
@@ -206,22 +248,22 @@ def _loop_pieces(spec: LoopSpec):
             f"loops are defined around the punctures {PUNCTURES} or infinity, "
             f"not {spec.center}"
         )
-    base = mpmath.mpf(spec.base_point.numerator) / spec.base_point.denominator
-    pi = mpmath.pi
-    r = mpmath.mpf(spec.resolved_radius().numerator) / spec.resolved_radius().denominator
+    base = float(spec.base_point)
+    pi = math.pi
+    r = float(spec.resolved_radius())
     if spec.center == INFINITY:
         out = [_segment(base, -r)]
         circle = [_arc(0, r, pi, -pi)]  # clockwise: counterclockwise around infinity
         back = [_segment(-r, base)]
         return out + circle + back
-    c = mpmath.mpf(spec.center.numerator) / spec.center.denominator
+    c = float(spec.center)
     if c == 0:
         out = [_segment(base, -r)]
         circle = [_arc(0, r, pi, 3 * pi)]
         back = [_segment(-r, base)]
         return out + circle + back
     # Loop around 1/256: detour over 0 through the upper half-plane.
-    d = mpmath.mpf(1) / 512
+    d = 1 / 512
     out = [
         _segment(base, -d),
         _arc(0, d, pi, 0),
@@ -249,19 +291,6 @@ def _min_pairwise(roots):
     return best
 
 
-def _newton(xi, lam, a, b, tol):
-    for _ in range(30):
-        f = _S(xi, lam, a, b)
-        d = _S_xi(xi, lam, a, b)
-        if d == 0:
-            raise MonodromyError("vanishing derivative during correction")
-        step = f / d
-        xi = xi - step
-        if abs(step) <= tol * (1 + abs(xi)):
-            return xi
-    raise MonodromyError("Newton corrector failed to converge")
-
-
 def _track_pieces(pieces, roots, initial_steps, safety_radius):
     """Continue the root list along the concatenated path pieces.
 
@@ -269,15 +298,14 @@ def _track_pieces(pieces, roots, initial_steps, safety_radius):
     steps shrink adaptively wherever the movement bound demands it and grow
     back, never beyond the maximum.
     """
-    newton_tol = mpmath.mpf(2) ** (-(mp.prec - 10))
     roots = list(roots)
-    for path, _length in pieces:
+    for path in pieces:
         nsteps = initial_steps
-        max_dt = mpmath.mpf(1) / nsteps
+        max_dt = 1 / nsteps
         dt_floor = max_dt / 2**30
         step_budget = max(1024, 16 * initial_steps)
         accepted = 0
-        t = mpmath.mpf(0)
+        t = 0.0
         dt = max_dt
         lam = path(t)
         a, b = _family_coeffs(lam)
@@ -299,7 +327,7 @@ def _track_pieces(pieces, roots, initial_steps, safety_radius):
                 for xi in roots:
                     pred = xi - _S_lam(xi, lam, a, b) / _S_xi(xi, lam, a, b) * dlam
                     try:
-                        cor = _newton(pred, lam2, a2, b2, newton_tol)
+                        cor = _newton(pred, lam2, a2, b2)
                     except MonodromyError:
                         ok = False
                         break
@@ -311,8 +339,8 @@ def _track_pieces(pieces, roots, initial_steps, safety_radius):
                     new_min = _min_pairwise(candidate)
                     if new_min < safety_radius:
                         raise RootCollisionError(
-                            f"roots within {mpmath.nstr(new_min, 5)} near lambda = "
-                            f"{mpmath.nstr(lam2, 8)}; radius too large or degenerate family"
+                            f"roots within {new_min:.5g} near lambda = "
+                            f"{lam2:.8g}; radius too large or degenerate family"
                         )
                     roots = candidate
                     t, lam, a, b = t2, lam2, a2, b2
@@ -326,18 +354,18 @@ def _track_pieces(pieces, roots, initial_steps, safety_radius):
     return roots
 
 
-def _match(final, base_cfg: TrackedRoots, precision_bits: int) -> Permutation:
-    closure_tol = mpmath.mpf(10) ** (-(precision_bits // 4))
-    scale = max(1, max(abs(x) for x in base_cfg.xi_roots))
+def _match(final, base_cfg: TrackedRoots) -> Permutation:
+    """The permutation taking each final root to its unique nearest base root."""
+    base_roots = base_cfg.xi_roots
+    scale = max(1, max(abs(x) for x in base_roots))
+    closure_tol = min(CLOSURE_TOL * scale, _min_pairwise(base_roots) / 3)
     images = [0] * 6
     used = set()
     for i, xi in enumerate(final):
-        dists = [abs(xi - base) for base in base_cfg.xi_roots]
+        dists = [abs(xi - base) for base in base_roots]
         j = min(range(6), key=lambda k: dists[k])
-        if dists[j] > closure_tol * scale:
-            raise MonodromyError(
-                f"loop failed to close: residual {mpmath.nstr(dists[j], 5)}"
-            )
+        if dists[j] > closure_tol:
+            raise MonodromyError(f"loop failed to close: residual {dists[j]:.5g}")
         if j in used:
             raise MonodromyError("two roots matched the same base root")
         used.add(j)
@@ -349,18 +377,18 @@ def track_loop(spec: LoopSpec, precision_bits: int = 128) -> Permutation:
     """The permutation of the six labels induced by one loop.
 
     sigma(i) = j means the root labeled i lands on the base root labeled j.
-    Deterministic for a fixed spec and precision.
+    The loop is tracked in double precision from the base configuration
+    solved at precision_bits.  Deterministic for a fixed spec and precision.
     """
-    with mp.workprec(precision_bits):
-        cfg = base_configuration(precision_bits, spec.base_point)
-        # Legitimate loops here never push the six roots closer than a few
-        # thousandths of the base scale; anything below this is a shrinking
-        # pair headed for a degeneracy (radius too large, or a path through
-        # a puncture).
-        safety = mpmath.mpf("1e-4") * max(abs(x) for x in cfg.xi_roots)
-        pieces = _loop_pieces(spec)
-        final = _track_pieces(pieces, cfg.xi_roots, spec.initial_steps, safety)
-        return _match(final, cfg, precision_bits)
+    cfg = base_configuration(precision_bits, spec.base_point)
+    # Legitimate loops here never push the six roots closer than a few
+    # thousandths of the base scale; anything below this is a shrinking
+    # pair headed for a degeneracy (radius too large, or a path through
+    # a puncture).
+    safety = 1e-4 * max(abs(x) for x in cfg.xi_roots)
+    pieces = _loop_pieces(spec)
+    final = _track_pieces(pieces, cfg.xi_roots, spec.initial_steps, safety)
+    return _match(final, cfg)
 
 
 @dataclass(frozen=True)
@@ -390,6 +418,8 @@ def puncture_table(
 ) -> PunctureTable:
     """Loop permutations at the default base point.
 
+    precision_bits is the precision of the base-point solve; initial_steps
+    subdivides each piece of every loop at the largest step size.
     The infinity entry is defined by the product relation (the inverse of the
     composite of the finite loops); when check_infinity_directly is set it is
     also recomputed by tracking along |lambda| = 8 and the two must agree.

@@ -118,6 +118,27 @@ class TestReport:
         code, _, err = run(["report", write_doc(tmp_path, doc)], capsys)
         assert code == 2 and "formt" in err
 
+    def test_ignored_tracker_options_rejected(self, tmp_path, capsys):
+        # report never tracks loops, so tracker settings are unknown options
+        for field in ("precision_bits", "step_scale"):
+            doc = dict(QUINTIC_DOC, options={"output_format": "jsonl", field: 16})
+            code, out, err = run(["report", write_doc(tmp_path, doc)], capsys)
+            assert code == 2 and field in err and out == ""
+
+    def test_degree_beyond_search_bound_exits_3(self, tmp_path, capsys):
+        doc = {"branch_data": {"n": 10, "x": [10], "y": [5, 5], "z": [1] * 10, "r": 0}}
+        code, out, err = run(["report", write_doc(tmp_path, doc)], capsys)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "n = 10" in err
+        assert "Traceback" not in err
+
+    def test_repeated_in_process_calls_agree(self, tmp_path, capsys):
+        # the parser is shared between calls; errors must not leak between them
+        good = write_doc(tmp_path, QUINTIC_DOC)
+        first = run(["report", good], capsys)
+        assert run(["report", str(tmp_path / "missing.json")], capsys)[0] == 2
+        assert run(["report", good], capsys) == first
+
     def test_unknown_verify_key_rejected(self, capsys):
         code, _, err = run(["verify-paper", "--only", "towr"], capsys)
         assert code == 2 and "towr" in err

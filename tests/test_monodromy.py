@@ -4,12 +4,14 @@ The expensive three-scale loop tables are computed once through the shared
 verification cache; the acceptance module reuses the same results.
 """
 
+import itertools
+import math
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
-from kumfib import monodromy, verification
+from kumfib import cli, monodromy, verification
 from kumfib.monodromy import LoopSpec, base_configuration, deck_parity, track_loop
 from kumfib.permutations import Permutation, group_closure, orbits
 
@@ -39,18 +41,17 @@ class TestBaseConfiguration:
 class TestLoops:
     def test_trivial_loop_is_identity(self):
         # a tiny circle around the base point encloses no puncture
-        with mpmath.workprec(96):
-            cfg = base_configuration(96)
-            base = mpmath.mpf(-257) / 256
-            r = mpmath.mpf(1) / 1024
-            pieces = [
-                monodromy._segment(base, base + r),
-                monodromy._arc(base, r, 0, 2 * mpmath.pi),
-                monodromy._segment(base + r, base),
-            ]
-            safety = mpmath.mpf("1e-10")
-            final = monodromy._track_pieces(pieces, cfg.xi_roots, 64, safety)
-            assert monodromy._match(final, cfg, 96).is_identity
+        cfg = base_configuration(96)
+        base = -257 / 256
+        r = 1 / 1024
+        pieces = [
+            monodromy._segment(base, base + r),
+            monodromy._arc(base, r, 0, 2 * math.pi),
+            monodromy._segment(base + r, base),
+        ]
+        safety = 1e-10
+        final = monodromy._track_pieces(pieces, cfg.xi_roots, 64, safety)
+        assert monodromy._match(final, cfg).is_identity
 
     def test_non_puncture_center_rejected(self):
         spec = LoopSpec(center=F(-257, 256), radius=F(1, 1024), initial_steps=64)
@@ -125,6 +126,59 @@ class TestLoops:
         assert len(group) == 8  # dihedral, matching the deck group
         parts = orbits(6, [t.around_zero, t.around_quarter256])
         assert sorted(len(o) for o in parts) == [2, 4]  # not transitive
+
+
+def _oracle_roots(lam):
+    """The six roots of S(., lam) from mpmath's polyroots at 128 bits."""
+    with mpmath.workprec(128):
+        lam = mpmath.mpc(lam)
+        a = lam + mpmath.mpf(1) / 144
+        b = mpmath.mpf(3) / 8 * lam - mpmath.mpf(1) / 1728
+        coeffs = [16, 0, -24 * a, -8 * b, 9 * a * a, 6 * a * b, b * b - lam**3]
+        return mpmath.polyroots(coeffs, maxsteps=200, extraprec=128)
+
+
+def _assert_near_oracle(tracked, lam):
+    oracle = _oracle_roots(lam)
+    with mpmath.workprec(128):
+        separation = min(abs(p - q) for p, q in itertools.combinations(oracle, 2))
+        nearest = []
+        for xi in tracked:
+            dists = [abs(mpmath.mpc(xi) - root) for root in oracle]
+            j = min(range(6), key=lambda k: dists[k])
+            assert dists[j] < 1e-10, (lam, dists[j])
+            assert dists[j] < separation / 3
+            nearest.append(j)
+    assert sorted(nearest) == list(range(6))  # a unique oracle root each
+
+
+class TestHighPrecisionOracle:
+    """The double-precision tracker against polyroots at 128 bits."""
+
+    def test_base_configuration(self):
+        cfg = base_configuration(16)
+        _assert_near_oracle(cfg.xi_roots, complex(cfg.lam))
+
+    @pytest.mark.parametrize("center", [F(0), F(1, 256), monodromy.INFINITY])
+    def test_tracked_roots_along_each_loop(self, center):
+        # the roots at the middle and the end of every piece of the loop
+        cfg = base_configuration(128)
+        safety = 1e-4 * max(abs(x) for x in cfg.xi_roots)
+        pieces = monodromy._loop_pieces(LoopSpec(center=center, initial_steps=64))
+        for k, piece in enumerate(pieces):
+            for frac in (0.5, 1.0):
+                prefix = pieces[:k] + [lambda t, piece=piece, frac=frac: piece(frac * t)]
+                tracked = monodromy._track_pieces(prefix, cfg.xi_roots, 64, safety)
+                _assert_near_oracle(tracked, piece(frac))
+
+    def test_coarse_solve_and_steps_reproduce_the_table(self, capsys):
+        code = cli.main(["monodromy", "--precision", "16", "--steps", "8"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "loop around zero        (1 6)(2 5)(3 4)" in out
+        assert "loop around quarter256  (1 2)" in out
+        assert "loop around infinity    (1 5 2 6)(3 4)" in out
+        assert "reference match   via relabeling (4 6)" in out
 
 
 class TestDeckParity:
