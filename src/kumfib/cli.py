@@ -11,6 +11,10 @@ Subcommands:
 Exit codes: 0 success, 1 internal check failure, 2 invalid input,
 3 requested quantity unsupported (outside the tabulated cases).
 
+Calabi-Yau branch data (infinity profile in hodge.CY_INFINITY_PROFILES) has
+degree at most hurwitz.MAX_SEARCH_DEGREE = 8: `report` refuses branch data
+above it with exit 3, and `enumerate --max-degree` above it with exit 2.
+
 Input documents are JSON objects carrying either bare branch data
 
     {"branch_data": {"n": 5, "x": [5], "y": [1, 4], "z": [1, 1, 1, 1, 1], "r": 1}}
@@ -266,8 +270,8 @@ def cmd_report(args) -> int:
             data = parse_branch_data(doc["branch_data"])
             if data.n > hurwitz.MAX_SEARCH_DEGREE:
                 sys.stderr.write(
-                    f"unsupported branch data: degree n = {data.n} exceeds the "
-                    f"tuple search's bound of {hurwitz.MAX_SEARCH_DEGREE}\n"
+                    f"unsupported branch data: degree n = {data.n} exceeds "
+                    f"{hurwitz.MAX_SEARCH_DEGREE}, the largest Calabi-Yau degree\n"
                 )
                 return EXIT_UNSUPPORTED
             reports = hodge.analyze_branch_data(
@@ -282,49 +286,33 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _partitions(n: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(n, 0, -1):
-        for rest in _partitions(n - first):
-            if not rest or first >= rest[0]:
-                yield (first,) + rest
-
-
 def admissible_branch_data(max_degree: int) -> list[BranchData]:
-    """All branch data with n <= max_degree passing the Calabi-Yau condition."""
+    """All branch data with n <= max_degree passing the Calabi-Yau condition:
+    y from hodge.CY_INFINITY_PROFILES, r solved from k + l + m - n - r = 2."""
     out = []
-    for n in range(1, max_degree + 1):
-        parts = list(_partitions(n))
-        ys = [p for p in parts if (len(p) == 2 and all(v in (1, 2, 4) for v in p)) or p == (8,)]
-        for y in ys:
-            for x in parts:
-                for z in parts:
-                    r = len(x) + len(y) + len(z) - n - 2
-                    if r < 0:
-                        continue
+    for y in hodge.CY_INFINITY_PROFILES:
+        n = sum(y)
+        if n > max_degree:
+            continue
+        parts = list(hurwitz.partitions(n))
+        for x in parts:
+            for z in parts:
+                r = len(x) + len(y) + len(z) - n - 2
+                if r >= 0:
                     out.append(BranchData(n=n, x=x, y=y, z=z, r=r))
     out.sort(key=lambda b: (b.n, b.x, b.y, b.z, b.r))
-    return [b for b in out if hodge.cy_condition(b)]
+    return out
 
 
 def cmd_enumerate(args) -> int:
-    if args.max_degree < 1 or args.max_degree > 12:
-        sys.stderr.write("enumerate: --max-degree must be between 1 and 12\n")
+    bound = hurwitz.MAX_SEARCH_DEGREE
+    if not 1 <= args.max_degree <= bound:
+        sys.stderr.write(f"enumerate: --max-degree must be between 1 and {bound}\n")
         return EXIT_INVALID_INPUT
     catalog = admissible_branch_data(args.max_degree)
     for b in catalog:
         if args.no_search:
-            reports = [
-                hodge.CYReport(
-                    branch=b,
-                    cy=True,
-                    guaranteed_smooth=hodge.smoothness(b),
-                    inventory=hodge.fiber_inventory(b),
-                    unsupported="tuple search skipped",
-                )
-            ]
+            reports = [hodge.CYReport.for_branch(b, unsupported="tuple search skipped")]
         else:
             reports = hodge.analyze_branch_data(
                 b, limit=args.limit, max_candidates=args.max_candidates

@@ -5,8 +5,11 @@ back Kummer-fibred threefold has trivial canonical sheaf iff
 
     k + l + m - n - r = 2  and  (l = 2 with y1, y2 in {1, 2, 4}  or  l = 1 with y1 = 8),
 
-is guaranteed smooth when the cover is unramified over 1/256 (m = n; the
-criterion is sufficient only), and, when l = 2, has
+that is, iff the data admits a rational cover (Riemann-Hurwitz, equivalent
+to the degree equation) and y is one of the profiles in CY_INFINITY_PROFILES.
+Such data has degree n = sum(y) <= 8, the bound hurwitz.MAX_SEARCH_DEGREE.
+The threefold is guaranteed smooth when the cover is unramified over 1/256
+(m = n; the criterion is sufficient only), and, when l = 2, has
 
     h11 = 12 + sum_{x odd} x^2 + sum_{x even} (x^2 + 1) + s + c1 + c2,
     h21 = k + (m_odd - n)/2 + p_g,
@@ -56,15 +59,14 @@ MULTIPLICITIES_BY_Y = {
 }
 
 
+#: Infinity profiles y of Calabi-Yau branch data: two points of order 1, 2
+#: or 4, or one point of order 8 (sorted as BranchData stores them).
+CY_INFINITY_PROFILES = ((1, 1), (2, 1), (2, 2), (4, 1), (4, 2), (4, 4), (8,))
+
+
 def cy_condition(b: BranchData) -> bool:
     """Whether the pulled-back threefold has trivial canonical sheaf."""
-    if b.k + b.l + b.m - b.n - b.r != 2:
-        return False
-    if b.l == 2:
-        return all(y in (1, 2, 4) for y in b.y)
-    if b.l == 1:
-        return b.y[0] == 8
-    return False
+    return b.admits_rational_cover() and b.y in CY_INFINITY_PROFILES
 
 
 def smoothness(b: BranchData) -> bool:
@@ -235,6 +237,11 @@ class CYReport:
     ambiguous: bool = False
     search_truncated: bool = False
 
+    @classmethod
+    def for_branch(cls, b: BranchData, **fields) -> "CYReport":
+        """The report fields the branch data alone determines, plus fields."""
+        return cls(b, cy_condition(b), smoothness(b), fiber_inventory(b), **fields)
+
     def consistent(self) -> bool:
         if self.h11 is None or self.h21 is None or self.euler is None:
             return True
@@ -242,34 +249,22 @@ class CYReport:
 
 
 def _report_for_tuple(b: BranchData, summary: FixedCurveSummary) -> CYReport:
-    base = CYReport(
-        branch=b,
-        cy=cy_condition(b),
-        guaranteed_smooth=smoothness(b),
-        inventory=fiber_inventory(b),
-        s=summary.s,
-        p_g=summary.p_g,
-        genera=summary.genera,
-    )
+    base = CYReport.for_branch(b, s=summary.s, p_g=summary.p_g, genera=summary.genera)
     if not base.cy:
-        return _with(base, unsupported="canonical sheaf is not trivial for this data")
+        return replace(base, unsupported="canonical sheaf is not trivial for this data")
     try:
         c_pair = tuple(C_BY_Y[y] for y in b.y) if b.l == 2 else None
         h11_value = h11(b, summary.s)
         h21_value = h21(b, summary.p_g)
     except UnsupportedError as exc:
-        return _with(base, unsupported=str(exc))
-    return _with(
+        return replace(base, unsupported=str(exc))
+    return replace(
         base,
         c=c_pair,
         h11=h11_value,
         h21=h21_value,
         euler=2 * (h11_value - h21_value),
     )
-
-
-def _with(report: CYReport, **updates) -> CYReport:
-    return replace(report, **updates)
 
 
 def analyze_cover(g: HurwitzCover) -> CYReport:
@@ -304,20 +299,9 @@ def analyze_branch_data(
             if not result.truncated
             else "tuple search truncated before finding a realization"
         )
-        return [
-            _with(
-                CYReport(
-                    branch=b,
-                    cy=cy_condition(b),
-                    guaranteed_smooth=smoothness(b),
-                    inventory=fiber_inventory(b),
-                ),
-                unsupported=note,
-                search_truncated=result.truncated,
-            )
-        ]
+        return [CYReport.for_branch(b, unsupported=note, search_truncated=result.truncated)]
     ambiguous = len(reports) > 1
     return [
-        _with(r, ambiguous=ambiguous, search_truncated=result.truncated)
+        replace(r, ambiguous=ambiguous, search_truncated=result.truncated)
         for r in reports
     ]

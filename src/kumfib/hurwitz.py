@@ -15,6 +15,9 @@ printed components (two double covers branched over {0, infinity} and one
 four-fold cover with profiles [2,1,1]/[2,2]/[4] over 1/256, 0, infinity); the
 orbit model of a normalized fiber product then computes pullbacks, component
 decompositions, profiles and genera for arbitrary covers.
+
+MAX_SEARCH_DEGREE, the package's one degree bound, lives here because hodge,
+cli and verification all import this module.
 """
 
 from __future__ import annotations
@@ -86,8 +89,8 @@ class HurwitzCover:
         )
 
 
-def validate(cover: HurwitzCover) -> list[str]:
-    """Structured violation list; empty means the cover is well formed."""
+def structural_violations(cover: HurwitzCover) -> list[str]:
+    """Every violation but disconnectedness; empty means a cover, connected or not."""
     violations = []
     if cover.degree < 1:
         violations.append(f"degree must be positive, got {cover.degree}")
@@ -108,7 +111,15 @@ def validate(cover: HurwitzCover) -> list[str]:
     prod = cover.product()
     if not prod.is_identity:
         violations.append(f"monodromy product is {prod.cycle_string()}, not the identity")
-    if not is_transitive(cover.degree, cover.permutations):
+    return violations
+
+
+def validate(cover: HurwitzCover) -> list[str]:
+    """Structured violation list; empty means the cover is well formed and connected."""
+    violations = structural_violations(cover)
+    perms = cover.permutations  # transitivity needs one per mark, all of the cover's degree
+    shaped = len(cover.marks) == len(perms) and all(p.degree == cover.degree for p in perms)
+    if cover.degree >= 1 and shaped and not is_transitive(cover.degree, perms):
         violations.append("monodromy group is not transitive (cover is disconnected)")
     return violations
 
@@ -189,6 +200,17 @@ class BranchData:
         return self.total_ramification() == 2 * self.n - 2
 
 
+def partitions(n: int):
+    """The partitions of n as non-increasing tuples, largest first part first."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(n, 0, -1):
+        for rest in partitions(n - first):
+            if not rest or first >= rest[0]:
+                yield (first,) + rest
+
+
 def branch_data_of(cover: HurwitzCover) -> BranchData:
     return BranchData(
         n=cover.degree,
@@ -240,7 +262,7 @@ def pullback(base_cover: HurwitzCover, g: HurwitzCover) -> list[ComponentReport]
     genus comes from Riemann-Hurwitz.
     """
     for cover, name in ((base_cover, "base_cover"), (g, "g")):
-        problems = [v for v in validate(cover) if "transitive" not in v]
+        problems = structural_violations(cover)
         if problems:
             raise HurwitzError(f"{name}: " + "; ".join(problems))
     d, n = base_cover.degree, g.degree
@@ -383,7 +405,7 @@ def _canonical_representative(n: int, cycle_type: tuple[int, ...]) -> Permutatio
     return Permutation.from_cycles(n, cycles)
 
 
-def _canonical_key(n: int, perms: tuple[Permutation, ...]):
+def canonical_key(n: int, perms: tuple[Permutation, ...]):
     """Simultaneous-conjugation invariant of a transitive tuple.
 
     Breadth-first relabeling from every base point, taking the least
@@ -409,8 +431,9 @@ def _canonical_key(n: int, perms: tuple[Permutation, ...]):
     return best
 
 
-#: The largest degree search_tuples runs its exhaustive search for.
-MAX_SEARCH_DEGREE = 9
+#: The largest Calabi-Yau degree, n = sum(y) over hodge.CY_INFINITY_PROFILES: the
+#: bound of search_tuples, report, enumerate and the cy-vs-riemann-hurwitz check.
+MAX_SEARCH_DEGREE = 8
 
 
 def search_tuples(
@@ -470,7 +493,7 @@ def search_tuples(
             perms = (sigma_c, sigma_inf, sigma_0, *extras)
             if not is_transitive(n, perms):
                 continue
-            key = _canonical_key(n, perms)
+            key = canonical_key(n, perms)
             if key in found:
                 continue
             found[key] = HurwitzCover.make(

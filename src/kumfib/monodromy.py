@@ -6,10 +6,10 @@ Since b(lambda) carries a factor lambda^{-3/2}, the roots are tracked in the
 rescaled coordinate xi = sqrt(lambda) x, where they become the roots of the
 single-valued polynomial
 
-    S(xi, lambda) = (4 xi^3 - 3 a~(lambda) xi - b~(lambda))^2 - lambda^3,
+    S(xi, lambda) = (4 xi^3 - 3 a(lambda) xi - b(lambda))^2 - d(lambda),
 
-a~ = lambda + 1/144 and b~ = (3/8) lambda - 1/1728 being the weight-(2, 3)
-family coefficients.  The square-root branch flip around lambda = 0 is then
+a, b and d = lambda^3 being the family's parameter maps, read from
+family.lambda_family().  The square-root branch flip around lambda = 0 is then
 absorbed by the coordinate, so every loop closes on the nose and the
 matching permutation is well defined.
 
@@ -53,6 +53,7 @@ from typing import Literal
 import mpmath
 from mpmath import mp
 
+from . import family, mpolar
 from .permutations import Permutation
 
 INFINITY = "infinity"
@@ -68,7 +69,7 @@ REFERENCE_TABLE: dict[str, Permutation] = {
 
 PUNCTURES = (Fraction(0), Fraction(1, 256))
 
-DEFAULT_BASE_POINT = Fraction(-257, 256)
+BASE_POINT = Fraction(-257, 256)
 DEFAULT_STEPS = 256
 BIG_RADIUS = 8
 
@@ -87,10 +88,9 @@ class StepUnderflowError(MonodromyError):
 
 @dataclass(frozen=True)
 class LoopSpec:
-    """One puncture loop: which puncture, from where, and how finely."""
+    """One puncture loop from BASE_POINT: which puncture, and how finely."""
 
     center: Fraction | Literal["infinity"]
-    base_point: Fraction = DEFAULT_BASE_POINT
     initial_steps: int = DEFAULT_STEPS
     radius: Fraction | None = None  # None: half the distance to the nearest puncture
 
@@ -129,10 +129,18 @@ NEWTON_TOL = 2.0**-43
 CLOSURE_TOL = 2.0**-30
 
 
+_FAMILY = family.lambda_family()
+_MAPS = (_FAMILY.a_of_lambda, _FAMILY.b_of_lambda, _FAMILY.d_of_lambda)
+
+#: a(lambda) = A1 lambda + A0, b(lambda) = B1 lambda + B0 and d(lambda), as
+#: float coefficients (lowest degree first) of the family's polynomial maps.
+(_A0, _A1), (_B0, _B1), _D = (tuple(float(c) for c in f.num.coeffs) for f in _MAPS)
+if _D != (0.0, 0.0, 0.0, 1.0):
+    raise MonodromyError("the coordinate xi = sqrt(lambda) x needs d(lambda) = lambda^3")
+
+
 def _family_coeffs(lam):
-    a = lam + 1 / 144
-    b = 0.375 * lam - 1 / 1728
-    return a, b
+    return _A1 * lam + _A0, _B1 * lam + _B0
 
 
 def _C(xi, a, b):
@@ -144,8 +152,8 @@ def _S_xi(xi, lam, a, b):
 
 
 def _S_lam(xi, lam, a, b):
-    # dC/dlambda = -3 xi - 3/8
-    return 2 * _C(xi, a, b) * (-3 * xi - 0.375) - 3 * lam * lam
+    # dC/dlambda = -3 a'(lambda) xi - b'(lambda); d'(lambda) = 3 lambda^2
+    return 2 * _C(xi, a, b) * (-3 * _A1 * xi - _B1) - 3 * lam * lam
 
 
 def _newton(xi, lam, a, b):
@@ -163,34 +171,30 @@ def _newton(xi, lam, a, b):
     raise MonodromyError("Newton corrector failed to converge")
 
 
-_BASE_CACHE: dict[tuple[int, Fraction], TrackedRoots] = {}
+_BASE_CACHE: dict[int, TrackedRoots] = {}
 
 
-def base_configuration(
-    precision_bits: int = 128, base_point: Fraction = DEFAULT_BASE_POINT
-) -> TrackedRoots:
-    """Solve for and label the six roots at the base point (cached).
+def base_configuration(precision_bits: int = 128) -> TrackedRoots:
+    """Solve for and label the six roots at BASE_POINT (cached).
 
-    mpmath's polyroots solves S(xi, base_point) = 0 at precision_bits; each
+    mpmath's polyroots solves S(xi, BASE_POINT) = 0 at precision_bits; each
     root is then polished by Newton's method in double precision, the
     arithmetic the loops are tracked in, so a closed loop ends on roots as
     accurate as the ones it is matched against, whatever the precision of
     the solve.
     """
-    key = (precision_bits, base_point)
-    if key in _BASE_CACHE:
-        return _BASE_CACHE[key]
-    a = base_point + Fraction(1, 144)
-    b = Fraction(3, 8) * base_point - Fraction(1, 1728)
-    coeffs = [16, 0, -24 * a, -8 * b, 9 * a * a, 6 * a * b, b * b - base_point**3]
+    if precision_bits in _BASE_CACHE:
+        return _BASE_CACHE[precision_bits]
+    a, b, d = (f(BASE_POINT) for f in _MAPS)
+    sextic = mpolar.fiber_cubic(a, b) ** 2 - d
     with mp.workprec(precision_bits):
         solved = mpmath.polyroots(
-            [mpmath.mpf(c.numerator) / c.denominator for c in coeffs],
+            [mpmath.mpf(c.numerator) / c.denominator for c in reversed(sextic.coeffs)],
             maxsteps=200,
             extraprec=precision_bits,
         )
         solved = [complex(xi) for xi in solved]
-    lam0 = complex(base_point)
+    lam0 = complex(BASE_POINT)
     a, b = _family_coeffs(lam0)
     roots = [_newton(xi, lam0, a, b) for xi in solved]
     separation = _min_pairwise(solved)
@@ -216,12 +220,12 @@ def base_configuration(
     xi_roots = tuple(plus + minus)
     x_roots = tuple(xi / sqrt_lam for xi in xi_roots)
     cfg = TrackedRoots(
-        lam=base_point,
+        lam=BASE_POINT,
         xi_roots=xi_roots,
         x_roots=x_roots,
         triple_of=(1, 1, 1, 2, 2, 2),
     )
-    _BASE_CACHE[key] = cfg
+    _BASE_CACHE[precision_bits] = cfg
     return cfg
 
 
@@ -248,7 +252,7 @@ def _loop_pieces(spec: LoopSpec):
             f"loops are defined around the punctures {PUNCTURES} or infinity, "
             f"not {spec.center}"
         )
-    base = float(spec.base_point)
+    base = float(BASE_POINT)
     pi = math.pi
     r = float(spec.resolved_radius())
     if spec.center == INFINITY:
@@ -380,7 +384,7 @@ def track_loop(spec: LoopSpec, precision_bits: int = 128) -> Permutation:
     The loop is tracked in double precision from the base configuration
     solved at precision_bits.  Deterministic for a fixed spec and precision.
     """
-    cfg = base_configuration(precision_bits, spec.base_point)
+    cfg = base_configuration(precision_bits)
     # Legitimate loops here never push the six roots closer than a few
     # thousandths of the base scale; anything below this is a shrinking
     # pair headed for a degeneracy (radius too large, or a path through

@@ -2,7 +2,9 @@
 
 import json
 
-from kumfib import cli
+import pytest
+
+from kumfib import cli, hodge, hurwitz
 
 QUINTIC_DOC = {
     "branch_data": {"n": 5, "x": [5], "y": [1, 4], "z": [1, 1, 1, 1, 1], "r": 1},
@@ -125,11 +127,19 @@ class TestReport:
             code, out, err = run(["report", write_doc(tmp_path, doc)], capsys)
             assert code == 2 and field in err and out == ""
 
-    def test_degree_beyond_search_bound_exits_3(self, tmp_path, capsys):
-        doc = {"branch_data": {"n": 10, "x": [10], "y": [5, 5], "z": [1] * 10, "r": 0}}
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n": 9, "x": [9], "y": [5, 4], "z": [2, 1, 1, 1, 1, 1, 1, 1], "r": 0},
+            {"n": 10, "x": [10], "y": [5, 5], "z": [1] * 10, "r": 0},
+        ],
+        ids=["n9", "n10"],
+    )
+    def test_degree_beyond_search_bound_exits_3(self, tmp_path, capsys, data):
+        doc = {"branch_data": data}
         code, out, err = run(["report", write_doc(tmp_path, doc)], capsys)
         assert code == 3 and out == ""
-        assert len(err.splitlines()) == 1 and "n = 10" in err
+        assert len(err.splitlines()) == 1 and f"n = {data['n']}" in err
         assert "Traceback" not in err
 
     def test_repeated_in_process_calls_agree(self, tmp_path, capsys):
@@ -177,9 +187,31 @@ class TestEnumerate:
             for row in rows
         )
 
-    def test_bad_bound_rejected(self, capsys):
-        code, _, _ = run(["enumerate", "--max-degree", "40"], capsys)
-        assert code == 2
+    @pytest.mark.parametrize("bound", [0, 9, 40])
+    def test_bad_bound_rejected(self, capsys, bound):
+        code, out, err = run(["enumerate", "--max-degree", str(bound)], capsys)
+        assert code == 2 and out == ""
+        assert "between 1 and 8" in err
+
+    def test_catalog_at_the_bound(self):
+        catalog = cli.admissible_branch_data(hurwitz.MAX_SEARCH_DEGREE)
+        assert len(catalog) == 572
+        assert max(b.n for b in catalog) == 8
+        # every partition triple and every r that Riemann-Hurwitz allows,
+        # one degree beyond the bound, filtered by the CY condition
+        brute = []
+        for n in range(1, hurwitz.MAX_SEARCH_DEGREE + 2):
+            parts = list(hurwitz.partitions(n))
+            for x in parts:
+                for y in parts:
+                    for z in parts:
+                        r = 2 * n - 2 - sum(v - 1 for v in x + y + z)
+                        if r < 0:
+                            continue
+                        b = hurwitz.BranchData(n=n, x=x, y=y, z=z, r=r)
+                        if hodge.cy_condition(b):
+                            brute.append(b)
+        assert sorted(brute, key=lambda b: (b.n, b.x, b.y, b.z, b.r)) == catalog
 
 
 class TestFibers:

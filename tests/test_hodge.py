@@ -4,6 +4,7 @@ import pytest
 
 from kumfib.hodge import (
     COMPONENTS_BY_Y,
+    CY_INFINITY_PROFILES,
     MULTIPLICITIES_BY_Y,
     UnsupportedError,
     analyze_branch_data,
@@ -17,7 +18,7 @@ from kumfib.hodge import (
     reference_constants,
     smoothness,
 )
-from kumfib.hurwitz import BranchData, regular_deck_cover
+from kumfib.hurwitz import MAX_SEARCH_DEGREE, BranchData, regular_deck_cover
 
 QUINTIC = BranchData(n=5, x=(5,), y=(4, 1), z=(1, 1, 1, 1, 1), r=1)
 REGULAR = BranchData(n=8, x=(2, 2, 2, 2), y=(4, 4), z=(2, 2, 2, 2), r=0)
@@ -42,6 +43,14 @@ class TestCYCondition:
 
     def test_l2_requires_tame_orders(self):
         assert not cy_condition(BranchData(n=6, x=(2, 2, 2), y=(3, 3), z=(2, 2, 2), r=1))
+
+    def test_degree_bound_is_the_largest_profile(self):
+        assert MAX_SEARCH_DEGREE == max(sum(y) for y in CY_INFINITY_PROFILES) == 8
+
+    def test_profiles_sorted_as_branch_data_stores_them(self):
+        for y in CY_INFINITY_PROFILES:
+            n = sum(y)
+            assert BranchData(n=n, x=(n,), y=y, z=(n,), r=0).y == y
 
 
 class TestSmoothness:

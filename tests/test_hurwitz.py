@@ -9,15 +9,18 @@ from kumfib.hurwitz import (
     MARK_INFINITY,
     MARK_QUARTER256,
     MARK_ZERO,
+    MAX_SEARCH_DEGREE,
     BranchData,
     HurwitzCover,
     HurwitzError,
     branch_data_of,
     c2_components,
     genus,
+    partitions,
     pullback,
     regular_deck_cover,
     search_tuples,
+    structural_violations,
     validate,
 )
 from kumfib.permutations import Permutation
@@ -46,7 +49,15 @@ class TestValidate:
             4, infinity=perm(4, (1, 2)), zero=perm(4, (1, 2))
         )
         problems = validate(cover)
-        assert any("transitive" in p for p in problems)
+        assert problems == ["monodromy group is not transitive (cover is disconnected)"]
+        assert structural_violations(cover) == []
+
+    def test_transitivity_reported_after_structure(self):
+        cover = HurwitzCover.make(4, zero=perm(4, (1, 2)))
+        assert validate(cover) == structural_violations(cover) + [
+            "monodromy group is not transitive (cover is disconnected)"
+        ]
+        assert "product" in structural_violations(cover)[0]
 
     def test_degree_mismatch(self):
         cover = HurwitzCover(
@@ -58,7 +69,9 @@ class TestValidate:
                 Permutation.identity(3),
             ),
         )
-        assert validate(cover)
+        problems = validate(cover)
+        assert problems == structural_violations(cover) and len(problems) == 1
+        assert "acts on 2 points" in problems[0]
 
 
 class TestGenus:
@@ -106,6 +119,18 @@ class TestBranchData:
     def test_of_cover(self):
         b = branch_data_of(regular_deck_cover())
         assert (b.n, b.x, b.y, b.z, b.r) == (8, (2, 2, 2, 2), (4, 4), (2, 2, 2, 2), 0)
+
+
+class TestPartitions:
+    def test_counts_up_to_the_bound(self):
+        counts = [len(list(partitions(n))) for n in range(MAX_SEARCH_DEGREE + 1)]
+        assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22]
+
+    def test_parts_non_increasing_and_sum(self):
+        for n in range(1, MAX_SEARCH_DEGREE + 1):
+            parts = list(partitions(n))
+            assert len(set(parts)) == len(parts)
+            assert all(sum(p) == n and list(p) == sorted(p, reverse=True) for p in parts)
 
 
 class TestPullback:
@@ -179,6 +204,17 @@ class TestPullback:
                 )
                 assert got == expected
 
+    def test_disconnected_cover_accepted(self):
+        # pullback needs covers, not connected ones: two sheets, two components
+        quad = c2_components()[2]
+        reports = pullback(quad, HurwitzCover.make(2))
+        assert [r.degree for r in reports] == [4, 4]
+
+    def test_bad_product_rejected(self):
+        quad = c2_components()[2]
+        with pytest.raises(HurwitzError, match="g: monodromy product"):
+            pullback(quad, HurwitzCover.make(2, zero=perm(2, (1, 2))))
+
     def test_mark_merge_with_extras(self):
         data = BranchData(n=5, x=(5,), y=(4, 1), z=(1, 1, 1, 1, 1), r=1)
         cover = search_tuples(data).covers[0]
@@ -220,10 +256,10 @@ class TestSearchTuples:
     def test_regular_tuple_found(self):
         data = BranchData(n=8, x=(2, 2, 2, 2), y=(4, 4), z=(2, 2, 2, 2), r=0)
         result = search_tuples(data, limit=64)
-        from kumfib.hurwitz import _canonical_key
+        from kumfib.hurwitz import canonical_key
 
-        target = _canonical_key(8, regular_deck_cover().permutations)
-        assert any(_canonical_key(8, c.permutations) == target for c in result.covers)
+        target = canonical_key(8, regular_deck_cover().permutations)
+        assert any(canonical_key(8, c.permutations) == target for c in result.covers)
 
     def test_parity_violation_empty(self):
         # total ramification 3 is odd, can never be 2n-2 = 2
@@ -234,6 +270,12 @@ class TestSearchTuples:
         # consistent parity but genus 1 data: no rational realization
         data = BranchData(n=2, x=(2,), y=(2,), z=(2,), r=1)
         assert search_tuples(data).covers == ()
+
+    def test_degree_above_bound_refused(self):
+        n = MAX_SEARCH_DEGREE + 1
+        data = BranchData(n=n, x=(n,), y=(n - 4, 4), z=(2,) + (1,) * (n - 2), r=0)
+        with pytest.raises(HurwitzError, match=f"degree at most {MAX_SEARCH_DEGREE}"):
+            search_tuples(data)
 
     def test_budget_truncation_flag(self):
         data = BranchData(n=8, x=(1,) * 8, y=(4, 4), z=(1,) * 8, r=8)
