@@ -8,8 +8,11 @@ Subcommands:
   fibers                print the singular-fiber reference tables
   verify-paper          re-run every pinned reference check, one line per check
 
-Exit codes: 0 success, 1 internal check failure, 2 invalid input,
-3 requested quantity unsupported (outside the tabulated cases).
+Exit codes: 0 success, 1 internal check failure or fault, 2 invalid input,
+3 requested quantity unsupported (outside the tabulated cases).  A cover
+document is refused (exit 2, one `invalid cover:` line) when it is not
+well formed, which HurwitzCover checks at construction, or not connected,
+which hodge.analyze_cover checks.
 
 Calabi-Yau branch data (infinity profile in hodge.CY_INFINITY_PROFILES) has
 degree at most hurwitz.MAX_SEARCH_DEGREE = 8: `report` refuses branch data
@@ -114,13 +117,16 @@ def parse_cover(obj, path: str = "cover") -> HurwitzCover:
     extras = tuple(
         perm(f"extras[{i}]", text) for i, text in enumerate(extras_obj)
     )
-    return HurwitzCover.make(
-        degree,
-        quarter256=perm("quarter256", obj.get("quarter256")),
-        infinity=perm("infinity", obj.get("infinity")),
-        zero=perm("zero", obj.get("zero")),
-        extras=extras,
-    )
+    try:
+        return HurwitzCover.make(
+            degree,
+            quarter256=perm("quarter256", obj.get("quarter256")),
+            infinity=perm("infinity", obj.get("infinity")),
+            zero=perm("zero", obj.get("zero")),
+            extras=extras,
+        )
+    except hurwitz.HurwitzError as exc:  # the input's refusal, not a fault inside the analysis
+        raise hurwitz.InvalidCoverError(str(exc)) from None
 
 
 def load_document(path: str):
@@ -259,13 +265,7 @@ def cmd_report(args) -> int:
         limit = options.get("search_limit", 16)
         max_candidates = options.get("max_candidates", 2_000_000)
         if "cover" in doc:
-            cover = parse_cover(doc["cover"])
-            problems = hurwitz.validate(cover)
-            if problems:
-                for p in problems:
-                    sys.stderr.write(f"invalid cover: {p}\n")
-                return EXIT_INVALID_INPUT
-            reports = [hodge.analyze_cover(cover)]
+            reports = [hodge.analyze_cover(parse_cover(doc["cover"]))]
         else:
             data = parse_branch_data(doc["branch_data"])
             if data.n > hurwitz.MAX_SEARCH_DEGREE:
@@ -279,6 +279,9 @@ def cmd_report(args) -> int:
             )
     except DocumentError as exc:
         sys.stderr.write(f"invalid document: {exc}\n")
+        return EXIT_INVALID_INPUT
+    except hurwitz.InvalidCoverError as exc:
+        sys.stderr.write(f"invalid cover: {exc}\n")
         return EXIT_INVALID_INPUT
     _emit(reports, fmt)
     if any(r.unsupported and r.cy for r in reports):
@@ -424,7 +427,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except hodge.InternalError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return EXIT_CHECK_FAILURE
 
 
 if __name__ == "__main__":

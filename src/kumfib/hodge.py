@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 from .hurwitz import (
     BranchData,
     HurwitzCover,
+    InvalidCoverError,
     SearchResult,
     branch_data_of,
     c2_components,
@@ -42,6 +43,10 @@ from .hurwitz import (
 
 class UnsupportedError(ValueError):
     """The requested quantity is outside the tabulated cases."""
+
+
+class InternalError(RuntimeError):
+    """A computed value breaks an identity that holds for all valid data: a program fault."""
 
 
 #: New divisor classes contributed over infinity by ramification order.
@@ -141,7 +146,8 @@ def h11(b: BranchData, s: int) -> int:
 
 
 def h21(b: BranchData, p_g: int) -> int:
-    """k + (m_odd - n)/2 + p_g, with the unramified-case identity enforced.
+    """k + (m_odd - n)/2 + p_g, with the unramified-case identity enforced
+    (InternalError if it fails).
 
     p_g is the geometric genus of the pulled-back fixed curve (sum of the
     component genera of its normalization).
@@ -152,10 +158,10 @@ def h21(b: BranchData, p_g: int) -> int:
         )
     if (b.m_odd - b.n) % 2:
         # Unreachable for genuine partitions: n and m_odd always share parity.
-        raise UnsupportedError("parity violation in (m_odd - n)/2")
+        raise InternalError("parity violation in (m_odd - n)/2")
     value = b.k + (b.m_odd - b.n) // 2 + p_g
     if b.m == b.n and cy_condition(b) and value != b.r + p_g:
-        raise UnsupportedError(
+        raise InternalError(
             "internal inconsistency: unramified case must equal r + p_g"
         )
     return value
@@ -203,7 +209,7 @@ class FixedCurveSummary:
 
 
 def fixed_curve(g: HurwitzCover) -> FixedCurveSummary:
-    """Pull the three fixed-curve components back along g and summarize."""
+    """Pull the three fixed-curve components (built once) back along g and summarize."""
     genera = []
     degrees = []
     for component in c2_components():
@@ -268,10 +274,14 @@ def _report_for_tuple(b: BranchData, summary: FixedCurveSummary) -> CYReport:
 
 
 def analyze_cover(g: HurwitzCover) -> CYReport:
-    """Analysis for an explicit monodromy tuple."""
+    """Analysis for an explicit monodromy tuple.
+
+    g is well formed by construction; the one check left is connectivity,
+    and a disconnected g is refused with InvalidCoverError.
+    """
     problems = validate(g)
     if problems:
-        raise UnsupportedError("invalid cover: " + "; ".join(problems))
+        raise InvalidCoverError("; ".join(problems))
     return _report_for_tuple(branch_data_of(g), fixed_curve(g))
 
 

@@ -2,7 +2,9 @@
 
 A cover of degree d over the three-marked base (lambda = 1/256, infinity, 0,
 plus anonymous extra branch points) is a list of permutations in S_d, one per
-mark, with identity product and (when connected) transitive action.  The
+mark, with identity product and (when connected) transitive action.  A
+HurwitzCover is well formed by construction: its constructor refuses
+anything else, so `validate` is left with connectivity alone.  The
 product convention everywhere: the first-listed mark's permutation acts
 first, so with marks (quarter256, infinity, zero, extras...) the relation is
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .monodromy import REFERENCE_TABLE
 from .permutations import (
@@ -45,13 +47,40 @@ class HurwitzError(ValueError):
     """Structurally invalid cover data."""
 
 
+class InvalidCoverError(HurwitzError):
+    """A cover refused as input: malformed, or disconnected where it must be connected."""
+
+
 @dataclass(frozen=True)
 class HurwitzCover:
-    """Monodromy tuple of a branched cover of the marked line."""
+    """Monodromy tuple of a branched cover of the marked line, connected or not.
+
+    Well formed by construction, or HurwitzError: positive degree, one
+    permutation of that degree per mark, special marks first and unique
+    marks, identity product.
+    """
 
     degree: int
     marks: tuple[str, ...]
     permutations: tuple[Permutation, ...]
+
+    def __post_init__(self):
+        if self.degree < 1:
+            raise HurwitzError(f"degree must be positive, got {self.degree}")
+        if len(self.marks) != len(self.permutations):
+            raise HurwitzError("marks and permutations differ in length")
+        if self.marks[:3] != SPECIAL_MARKS:
+            raise HurwitzError(f"first marks must be {SPECIAL_MARKS}, got {self.marks[:3]}")
+        if len(set(self.marks)) != len(self.marks):
+            raise HurwitzError("duplicate mark names")
+        for mark, perm in zip(self.marks, self.permutations):
+            if perm.degree != self.degree:
+                raise HurwitzError(
+                    f"permutation at {mark} acts on {perm.degree} points, cover degree is {self.degree}"
+                )
+        prod = self.product()
+        if not prod.is_identity:
+            raise HurwitzError(f"monodromy product is {prod.cycle_string()}, not the identity")
 
     @staticmethod
     def make(
@@ -89,39 +118,11 @@ class HurwitzCover:
         )
 
 
-def structural_violations(cover: HurwitzCover) -> list[str]:
-    """Every violation but disconnectedness; empty means a cover, connected or not."""
-    violations = []
-    if cover.degree < 1:
-        violations.append(f"degree must be positive, got {cover.degree}")
-        return violations
-    if len(cover.marks) != len(cover.permutations):
-        violations.append("marks and permutations differ in length")
-        return violations
-    if cover.marks[:3] != SPECIAL_MARKS:
-        violations.append(f"first marks must be {SPECIAL_MARKS}, got {cover.marks[:3]}")
-    if len(set(cover.marks)) != len(cover.marks):
-        violations.append("duplicate mark names")
-    for mark, perm in zip(cover.marks, cover.permutations):
-        if perm.degree != cover.degree:
-            violations.append(
-                f"permutation at {mark} acts on {perm.degree} points, cover degree is {cover.degree}"
-            )
-            return violations
-    prod = cover.product()
-    if not prod.is_identity:
-        violations.append(f"monodromy product is {prod.cycle_string()}, not the identity")
-    return violations
-
-
 def validate(cover: HurwitzCover) -> list[str]:
-    """Structured violation list; empty means the cover is well formed and connected."""
-    violations = structural_violations(cover)
-    perms = cover.permutations  # transitivity needs one per mark, all of the cover's degree
-    shaped = len(cover.marks) == len(perms) and all(p.degree == cover.degree for p in perms)
-    if cover.degree >= 1 and shaped and not is_transitive(cover.degree, perms):
-        violations.append("monodromy group is not transitive (cover is disconnected)")
-    return violations
+    """Connectivity, the one check a well-formed cover can fail; empty if connected."""
+    if is_transitive(cover.degree, cover.permutations):
+        return []
+    return ["monodromy group is not transitive (cover is disconnected)"]
 
 
 def genus(cover: HurwitzCover) -> int:
@@ -243,28 +244,17 @@ class ComponentReport:
         )
 
 
-def _merged_marks(a: HurwitzCover, b: HurwitzCover) -> list[str]:
-    marks = list(SPECIAL_MARKS)
-    for cover, tag in ((a, "a"), (b, "b")):
-        for mark in cover.marks[3:]:
-            marks.append(f"{tag}:{mark}")
-    return marks
-
-
 def pullback(base_cover: HurwitzCover, g: HurwitzCover) -> list[ComponentReport]:
     """Components of the normalized pullback of base_cover along g.
 
     Both covers live over the same marked line; their extra branch points
-    are treated as distinct.  The product representation acts on label pairs
-    (i, j) in {1..d} x {1..n}; orbits are the components, cycle types of each
-    generator restricted to an orbit give its profiles (a pair of local
-    indices e, e' meets in gcd(e, e') points of index lcm(e, e')), and the
-    genus comes from Riemann-Hurwitz.
+    are treated as distinct.  Both are well formed by construction and need
+    not be connected.  The product representation acts on label pairs
+    (i, j) in {1..d} x {1..n}; orbits are the components, and each cycle of a
+    generator lies in one orbit and adds its length to that orbit's profile
+    (a pair of local indices e, e' meets in gcd(e, e') points of index
+    lcm(e, e')); the genus comes from Riemann-Hurwitz.
     """
-    for cover, name in ((base_cover, "base_cover"), (g, "g")):
-        problems = structural_violations(cover)
-        if problems:
-            raise HurwitzError(f"{name}: " + "; ".join(problems))
     d, n = base_cover.degree, g.degree
 
     def pair_index(i: int, j: int) -> int:
@@ -277,47 +267,30 @@ def pullback(base_cover: HurwitzCover, g: HurwitzCover) -> list[ComponentReport]
                 images[pair_index(i, j) - 1] = pair_index(pa(i), pb(j))
         return Permutation(images)
 
-    marks = _merged_marks(base_cover, g)
-    generators: dict[str, Permutation] = {}
-    for mark in marks:
-        if mark.startswith("a:"):
-            pa = base_cover.permutation_at(mark[2:])
-            pb = Permutation.identity(n)
-        elif mark.startswith("b:"):
-            pa = Permutation.identity(d)
-            pb = g.permutation_at(mark[2:])
-        else:
-            pa = base_cover.permutation_at(mark)
-            pb = g.permutation_at(mark)
-        generators[mark] = pair_perm(pa, pb)
+    generators = {  # the special marks come first in every cover
+        mark: pair_perm(pa, pb)
+        for mark, pa, pb in zip(SPECIAL_MARKS, base_cover.permutations, g.permutations)
+    }
+    for mark, pa in zip(base_cover.marks[3:], base_cover.extras):
+        generators[f"a:{mark}"] = pair_perm(pa, Permutation.identity(n))
+    for mark, pb in zip(g.marks[3:], g.extras):
+        generators[f"b:{mark}"] = pair_perm(Permutation.identity(d), pb)
 
+    pair_orbits = orbits(d * n, generators.values())
+    orbit_of = {p: i for i, orbit in enumerate(pair_orbits) for p in orbit}
+    lengths = [{mark: [] for mark in generators} for _ in pair_orbits]
+    for mark, perm in generators.items():
+        for cycle in perm.cycles(include_fixed=True):
+            lengths[orbit_of[cycle[0]]][mark].append(len(cycle))
     components = []
-    for orbit in orbits(d * n, generators.values()):
-        inside = set(orbit)
-        profiles = {}
-        ram = 0
-        for mark, perm in generators.items():
-            lengths = []
-            seen = set()
-            for start in orbit:
-                if start in seen:
-                    continue
-                length = 0
-                p = start
-                while True:
-                    seen.add(p)
-                    length += 1
-                    p = perm(p)
-                    if p == start:
-                        break
-                    if p not in inside:
-                        raise HurwitzError("orbit not invariant; internal error")
-                lengths.append(length)
-            profiles[mark] = tuple(sorted(lengths, reverse=True))
-            ram += sum(e - 1 for e in lengths)
-        two_g = ram - 2 * len(orbit) + 2
+    for orbit, by_mark in zip(pair_orbits, lengths):
+        ram = sum(e - 1 for ls in by_mark.values() for e in ls)
         components.append(
-            ComponentReport(degree=len(orbit), profiles=profiles, genus=two_g // 2)
+            ComponentReport(
+                degree=len(orbit),
+                profiles={mark: tuple(sorted(ls, reverse=True)) for mark, ls in by_mark.items()},
+                genus=(ram - 2 * len(orbit) + 2) // 2,
+            )
         )
     components.sort(key=lambda c: (c.degree, sorted(c.profiles.items()), c.genus))
     return components
@@ -326,8 +299,9 @@ def pullback(base_cover: HurwitzCover, g: HurwitzCover) -> list[ComponentReport]
 # -- the fixed curve of the reference family ----------------------------------------
 
 
+@cache
 def c2_components() -> tuple[HurwitzCover, HurwitzCover, HurwitzCover]:
-    """The three components of the fixed curve over the modular base.
+    """The three components of the fixed curve over the modular base, built once.
 
     Two double covers branched over {0, infinity}, and one four-fold cover
     with profiles [2,1,1] over 1/256, [2,2] over 0 and [4] over infinity.

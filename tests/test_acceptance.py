@@ -9,7 +9,7 @@ tracking cost once and the later property suites reuse it.
 
 import time
 
-from kumfib import verification
+from kumfib import hurwitz, verification
 
 
 def _run(number, key, budget_seconds=None, shared_budget=None):
@@ -83,7 +83,17 @@ def test_criterion_12_pinned_constants():
 
 
 def test_criterion_13_property_suites():
-    _run(13, "cy-vs-riemann-hurwitz")
+    # one datum per length class; a return to one per partition triple
+    # (238216 data, about 4 s) exceeds the budget
+    _run(13, "cy-vs-riemann-hurwitz", budget_seconds=2.0)
     _run(13, "pullback-accounting")
     _run(13, "vieta")
     _run(13, "step-stability")
+
+
+def test_criterion_13_domain_follows_the_degree_bound(monkeypatch):
+    # the check counts its domain from the bound: one degree less must fail
+    monkeypatch.setattr(hurwitz, "MAX_SEARCH_DEGREE", 7)
+    result = verification.run_one("cy-vs-riemann-hurwitz")
+    assert not result.passed
+    assert result.actual == "checked 67848 branch data"

@@ -22,6 +22,13 @@ REGULAR_COVER_DOC = {
 }
 
 
+def degree_eight_cover_document():
+    """The degree-8 regular cover of the worked example as a cover document."""
+    cover = hurwitz.regular_deck_cover()
+    cycles = {mark: p.cycle_string() for mark, p in zip(cover.marks, cover.permutations)}
+    return {"cover": {"degree": 8, **cycles}, "options": {"output_format": "jsonl"}}
+
+
 def write_doc(tmp_path, doc, name="doc.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -58,9 +65,38 @@ class TestReport:
 
     def test_product_violation_exits_2(self, tmp_path, capsys):
         doc = {"cover": {"degree": 2, "zero": "(1 2)"}}
-        code, _, err = run(["report", write_doc(tmp_path, doc)], capsys)
-        assert code == 2
-        assert "product" in err
+        code, out, err = run(["report", write_doc(tmp_path, doc)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "invalid cover: monodromy product is (1 2), not the identity\n"
+
+    @pytest.mark.parametrize(
+        "cover, line",
+        [
+            (
+                {"degree": 4, "quarter256": "(1 2)", "infinity": "(1 2)", "zero": "id"},
+                "invalid cover: monodromy group is not transitive (cover is disconnected)\n",
+            ),
+            ({"degree": 0}, "invalid cover: degree must be positive, got 0\n"),
+        ],
+        ids=["disconnected", "degree0"],
+    )
+    def test_refused_cover_exits_2(self, tmp_path, capsys, cover, line):
+        code, out, err = run(["report", write_doc(tmp_path, {"cover": cover})], capsys)
+        assert (code, out, err) == (2, "", line)
+
+    def test_one_connectivity_test_per_report(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = hurwitz.is_transitive
+        monkeypatch.setattr(hurwitz, "is_transitive", lambda *a: calls.append(a) or real(*a))
+        code, _, _ = run(["report", write_doc(tmp_path, degree_eight_cover_document())], capsys)
+        assert code == 0 and len(calls) == 1
+
+    def test_internal_fault_exits_1(self, tmp_path, capsys, monkeypatch):
+        # an m_odd that breaks h21's unramified identity is a fault, not a refusal
+        monkeypatch.setattr(hurwitz.BranchData, "m_odd", property(lambda b: b.n - 2))
+        code, out, err = run(["report", write_doc(tmp_path, QUINTIC_DOC)], capsys)
+        assert code == 1 and out == ""
+        assert err == "internal error: internal inconsistency: unramified case must equal r + p_g\n"
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -97,19 +133,7 @@ class TestReport:
         assert out1 == out2
 
     def test_degree_eight_regular_cover_document(self, tmp_path, capsys):
-        from kumfib.hurwitz import regular_deck_cover
-
-        cover = regular_deck_cover()
-        doc = {
-            "cover": {
-                "degree": 8,
-                "quarter256": cover.permutations[0].cycle_string(),
-                "infinity": cover.permutations[1].cycle_string(),
-                "zero": cover.permutations[2].cycle_string(),
-            },
-            "options": {"output_format": "jsonl"},
-        }
-        code, out, _ = run(["report", write_doc(tmp_path, doc)], capsys)
+        code, out, _ = run(["report", write_doc(tmp_path, degree_eight_cover_document())], capsys)
         assert code == 0
         record = json.loads(out.strip())
         assert (record["h11"], record["h21"], record["euler"]) == (40, 0, 80)

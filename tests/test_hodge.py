@@ -6,6 +6,7 @@ from kumfib.hodge import (
     COMPONENTS_BY_Y,
     CY_INFINITY_PROFILES,
     MULTIPLICITIES_BY_Y,
+    InternalError,
     UnsupportedError,
     analyze_branch_data,
     analyze_cover,
@@ -18,7 +19,14 @@ from kumfib.hodge import (
     reference_constants,
     smoothness,
 )
-from kumfib.hurwitz import MAX_SEARCH_DEGREE, BranchData, regular_deck_cover
+from kumfib.hurwitz import (
+    MAX_SEARCH_DEGREE,
+    BranchData,
+    HurwitzCover,
+    InvalidCoverError,
+    regular_deck_cover,
+)
+from kumfib.permutations import Permutation
 
 QUINTIC = BranchData(n=5, x=(5,), y=(4, 1), z=(1, 1, 1, 1, 1), r=1)
 REGULAR = BranchData(n=8, x=(2, 2, 2, 2), y=(4, 4), z=(2, 2, 2, 2), r=0)
@@ -129,6 +137,13 @@ class TestHodgeFormulas:
         with pytest.raises(UnsupportedError):
             h21(b, p_g=0)
 
+    @pytest.mark.parametrize("m_odd", [4, 3], ids=["parity", "inconsistency"])
+    def test_broken_identity_is_internal_error(self, monkeypatch, m_odd):
+        # genuine partitions cannot reach these branches; a faulty m_odd can
+        monkeypatch.setattr(BranchData, "m_odd", property(lambda b: m_odd))
+        with pytest.raises(InternalError):
+            h21(QUINTIC, p_g=0)
+
     def test_untabulated_y_unsupported(self):
         b = BranchData(n=6, x=(2, 2, 2), y=(3, 3), z=(2, 2, 2), r=1)
         with pytest.raises(UnsupportedError):
@@ -153,6 +168,12 @@ class TestPipeline:
         assert report.consistent()
         assert not report.guaranteed_smooth
         assert report.inventory.terminal_singularity_count() == 8
+
+    def test_disconnected_cover_refused(self):
+        swap = Permutation.from_cycles(4, [(1, 2)])
+        cover = HurwitzCover.make(4, quarter256=swap, infinity=swap)
+        with pytest.raises(InvalidCoverError, match="^monodromy group is not transitive"):
+            analyze_cover(cover)
 
     def test_quintic_report(self):
         reports = analyze_branch_data(QUINTIC)

@@ -1,7 +1,8 @@
-"""Branched-cover combinatorics: validation, genus, pullbacks, tuple search."""
+"""Branched-cover combinatorics: well-formed covers, genus, pullbacks, tuple search."""
 
 import math
 import random
+import re
 
 import pytest
 
@@ -20,10 +21,12 @@ from kumfib.hurwitz import (
     pullback,
     regular_deck_cover,
     search_tuples,
-    structural_violations,
     validate,
 )
 from kumfib.permutations import Permutation
+
+
+SPECIAL = (MARK_QUARTER256, MARK_INFINITY, MARK_ZERO)
 
 
 def perm(n, *cycles):
@@ -36,9 +39,9 @@ class TestValidate:
         assert validate(cover) == []
 
     def test_bad_product(self):
-        cover = HurwitzCover.make(2, zero=perm(2, (1, 2)))
-        problems = validate(cover)
-        assert any("product" in p for p in problems)
+        # refused at construction: a HurwitzCover is well formed
+        with pytest.raises(HurwitzError, match=re.escape("monodromy product is (1 2), not the identity")):
+            HurwitzCover.make(2, zero=perm(2, (1, 2)))
 
     def test_quadruple_component_ok(self):
         quad = c2_components()[2]
@@ -50,28 +53,41 @@ class TestValidate:
         )
         problems = validate(cover)
         assert problems == ["monodromy group is not transitive (cover is disconnected)"]
-        assert structural_violations(cover) == []
 
     def test_transitivity_reported_after_structure(self):
-        cover = HurwitzCover.make(4, zero=perm(4, (1, 2)))
-        assert validate(cover) == structural_violations(cover) + [
-            "monodromy group is not transitive (cover is disconnected)"
-        ]
-        assert "product" in structural_violations(cover)[0]
+        # malformed and disconnected: refused for its structure, at construction,
+        # before connectivity can be tested
+        with pytest.raises(HurwitzError, match=re.escape("monodromy product is (1 2), not the identity")):
+            HurwitzCover.make(4, zero=perm(4, (1, 2)))
 
     def test_degree_mismatch(self):
-        cover = HurwitzCover(
-            degree=3,
-            marks=(MARK_QUARTER256, MARK_INFINITY, MARK_ZERO),
-            permutations=(
-                Permutation.identity(2),
-                Permutation.identity(3),
-                Permutation.identity(3),
-            ),
-        )
-        problems = validate(cover)
-        assert problems == structural_violations(cover) and len(problems) == 1
-        assert "acts on 2 points" in problems[0]
+        with pytest.raises(
+            HurwitzError, match="permutation at quarter256 acts on 2 points, cover degree is 3"
+        ):
+            HurwitzCover(
+                degree=3,
+                marks=(MARK_QUARTER256, MARK_INFINITY, MARK_ZERO),
+                permutations=(
+                    Permutation.identity(2),
+                    Permutation.identity(3),
+                    Permutation.identity(3),
+                ),
+            )
+
+    @pytest.mark.parametrize(
+        "degree, marks, count, message",
+        [
+            (0, SPECIAL, 3, "degree must be positive, got 0"),
+            (2, SPECIAL[:2], 3, "marks and permutations differ in length"),
+            (2, SPECIAL[::-1], 3, "first marks must be"),
+            (2, SPECIAL + ("extra1", "extra1"), 5, "duplicate mark names"),
+        ],
+        ids=["degree", "lengths", "order", "duplicates"],
+    )
+    def test_every_structural_check_at_construction(self, degree, marks, count, message):
+        ident = Permutation.identity(degree)
+        with pytest.raises(HurwitzError, match=message):
+            HurwitzCover(degree=degree, marks=marks, permutations=(ident,) * count)
 
 
 class TestGenus:
@@ -211,9 +227,9 @@ class TestPullback:
         assert [r.degree for r in reports] == [4, 4]
 
     def test_bad_product_rejected(self):
-        quad = c2_components()[2]
-        with pytest.raises(HurwitzError, match="g: monodromy product"):
-            pullback(quad, HurwitzCover.make(2, zero=perm(2, (1, 2))))
+        # the malformed g never reaches pullback: its construction fails
+        with pytest.raises(HurwitzError, match=re.escape("monodromy product is (1 2), not the identity")):
+            HurwitzCover.make(2, zero=perm(2, (1, 2)))
 
     def test_mark_merge_with_extras(self):
         data = BranchData(n=5, x=(5,), y=(4, 1), z=(1, 1, 1, 1, 1), r=1)
@@ -222,9 +238,13 @@ class TestPullback:
         assert len(reports) == 1
         assert reports[0].degree == 10
         assert reports[0].genus == 0
+        assert list(reports[0].profiles) == [MARK_QUARTER256, MARK_INFINITY, MARK_ZERO, "b:extra1"]
 
 
 class TestC2Components:
+    def test_built_once(self):
+        assert c2_components() is c2_components()
+
     def test_degrees_and_total(self):
         comps = c2_components()
         assert tuple(c.degree for c in comps) == (2, 2, 4)
