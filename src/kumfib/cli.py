@@ -17,6 +17,8 @@ which hodge.analyze_cover checks.
 Calabi-Yau branch data (infinity profile in hodge.CY_INFINITY_PROFILES) has
 degree at most hurwitz.MAX_SEARCH_DEGREE = 8: `report` refuses branch data
 above it with exit 3, and `enumerate --max-degree` above it with exit 2.
+The search limits (`search_limit`/`max_candidates` in a document,
+`--limit`/`--max-candidates` for `enumerate`) below 1 exit 2.
 
 Input documents are JSON objects carrying either bare branch data
 
@@ -151,8 +153,8 @@ def load_document(path: str):
     if unknown:
         raise DocumentError("options", f"unknown fields {sorted(unknown)}")
     for field in ("search_limit", "max_candidates"):
-        if field in options:
-            _expect_int(options[field], f"options.{field}")
+        if field in options and _expect_int(options[field], f"options.{field}") < 1:
+            raise DocumentError(f"options.{field}", f"must be at least 1, got {options[field]}")
     return doc, options
 
 
@@ -312,6 +314,10 @@ def cmd_enumerate(args) -> int:
     if not 1 <= args.max_degree <= bound:
         sys.stderr.write(f"enumerate: --max-degree must be between 1 and {bound}\n")
         return EXIT_INVALID_INPUT
+    for flag, value in (("--limit", args.limit), ("--max-candidates", args.max_candidates)):
+        if value < 1:
+            sys.stderr.write(f"enumerate: {flag} must be at least 1, got {value}\n")
+            return EXIT_INVALID_INPUT
     catalog = admissible_branch_data(args.max_degree)
     for b in catalog:
         if args.no_search:

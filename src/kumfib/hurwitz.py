@@ -359,13 +359,35 @@ class SearchResult:
 
 @lru_cache(maxsize=64)
 def _permutations_of_type(n: int, cycle_type: tuple[int, ...]) -> tuple[Permutation, ...]:
-    want = tuple(sorted(cycle_type, reverse=True))
-    out = []
-    for images in itertools.permutations(range(1, n + 1)):
-        p = Permutation(images)
-        if p.cycle_type() == want:
-            out.append(p)
-    return tuple(out)
+    """The conjugacy class of S_n with this cycle type, in lexicographic order of images.
+
+    Cycles are placed directly: the least free point starts the next cycle,
+    whose length is any length still to place and whose other points are any
+    ordered choice of free points.  That reaches each element once; sorting
+    the image tuples gives the order of filtering itertools.permutations.
+    """
+    if any(length < 1 for length in cycle_type) or sum(cycle_type) != n:
+        return ()
+    images = list(range(1, n + 1))
+    out: list[tuple[int, ...]] = []
+
+    def place(free: list[int], lengths: list[int]) -> None:
+        if not free:
+            out.append(tuple(images))
+            return
+        start, rest = free[0], free[1:]
+        for length in set(lengths):
+            remaining = list(lengths)
+            remaining.remove(length)
+            for others in itertools.permutations(rest, length - 1):
+                cycle = (start, *others)
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    images[a - 1] = b
+                place([p for p in rest if p not in others], remaining)
+
+    place(list(range(1, n + 1)), list(cycle_type))
+    out.sort()
+    return tuple(map(Permutation, out))
 
 
 def _canonical_representative(n: int, cycle_type: tuple[int, ...]) -> Permutation:
@@ -418,11 +440,23 @@ def search_tuples(
     Covers by the projective line only: data whose total ramification is not
     2n - 2 has no realization and yields the empty list.  Extra branch points
     are simple (transpositions).  The enumeration fixes a canonical
-    representative over infinity, runs over the full conjugacy class over
-    1/256 and all ordered tuples of extra transpositions, solves for the
-    permutation over 0 from the product relation, and keeps transitive hits.
-    Results are truncated (flagged) at `limit` tuples or `max_candidates`
-    candidate combinations.
+    representative over infinity and solves for the permutation over 0 from
+    the product relation; it keeps transitive hits, one per class under
+    `canonical_key`, in the order found.
+
+    Candidates are taken in a fixed order: the ordered tuples of extra
+    transpositions in itertools.product order (transpositions (i j), i < j,
+    lexicographic), and for each of them the whole conjugacy class over
+    1/256 in lexicographic order of images.  The class is built directly
+    from cycle placements (`_permutations_of_type`), not filtered out of all
+    n! permutations.  The candidate loop runs on image lists: the extras
+    composites are kept on a prefix stack, the cycle type of sigma_0 is read
+    from a conjugate of its inverse made with one lookup per point, and
+    Permutation objects are made only for candidates of cycle type x over 0.
+
+    `truncated` is set when the search stops early: at `limit` distinct
+    tuples, even if none is left to find, or when a candidate past
+    `max_candidates` would be examined.
     """
     if b.n > MAX_SEARCH_DEGREE:
         raise HurwitzError(
@@ -433,37 +467,28 @@ def search_tuples(
 
     n = b.n
     sigma_inf = _canonical_representative(n, b.y)
-    sigma_inf_inv = sigma_inf.inverse()
     z_class = _permutations_of_type(n, b.z)
-    transpositions = [
-        Permutation.from_cycles(n, [(i, j)])
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    ]
-    want_x = tuple(sorted(b.x, reverse=True))
+    x_counts = [0] * (n + 1)  # x_counts[k] = number of k-cycles over 0
+    for length in b.x:
+        x_counts[length] += 1
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    transpositions = [Permutation.from_cycles(n, [pair]) for pair in pairs]
+    sigma_inf_inv = sigma_inf.inverse()
 
-    z_class_inv = [(p, p.inverse()) for p in z_class]
+    # With lead = t_1 ... t_r the relation gives sigma_0 = lead sigma_c^-1 sigma_inf^-1,
+    # so sigma_0^-1 is conjugate to q = sigma_c v with v = lead^-1 sigma_inf: the
+    # cycle type of sigma_0 is that of q, one lookup per point.
     found: dict[object, HurwitzCover] = {}
-    truncated = False
-    candidates = 0
-    extra_iter = (
-        itertools.product(transpositions, repeat=b.r) if b.r else [()]
-    )
-    for extras in extra_iter:
-        if truncated:
-            break
-        extras_composite_inv = Permutation.identity(n)
-        for tau in extras:
-            extras_composite_inv = extras_composite_inv * tau  # transpositions self-inverse
-        lead = extras_composite_inv
-        for sigma_c, sigma_c_inv in z_class_inv:
-            candidates += 1
-            if candidates > max_candidates:
-                truncated = True
-                break
-            sigma_0 = lead * sigma_c_inv * sigma_inf_inv
-            if sigma_0.cycle_type() != want_x:
+    budget = max_candidates
+    for index, v in _extras_composites(sigma_inf, pairs, b.r):
+        extras = None
+        for sigma_c in z_class[: max(budget, 0)]:
+            q = sigma_c.images.__getitem__
+            if not _has_cycle_type([0, *map(q, v)], x_counts):
                 continue
+            if extras is None:
+                extras = tuple(transpositions[k] for k in index)
+            sigma_0 = sigma_inf * Permutation(map(q, v)).inverse() * sigma_inf_inv
             perms = (sigma_c, sigma_inf, sigma_0, *extras)
             if not is_transitive(n, perms):
                 continue
@@ -474,6 +499,52 @@ def search_tuples(
                 n, quarter256=sigma_c, infinity=sigma_inf, zero=sigma_0, extras=extras
             )
             if len(found) >= limit:
-                truncated = True
-                break
-    return SearchResult(covers=tuple(found.values()), truncated=truncated)
+                return SearchResult(covers=tuple(found.values()), truncated=True)
+        budget -= len(z_class)
+        if budget < 0:  # a candidate past max_candidates was due
+            return SearchResult(covers=tuple(found.values()), truncated=True)
+    return SearchResult(covers=tuple(found.values()), truncated=False)
+
+
+def _extras_composites(sigma_inf: Permutation, pairs: list[tuple[int, int]], r: int):
+    """(indices, v) for each r-tuple of transpositions t_1..t_r, in itertools.product order.
+
+    v = t_r ... t_1 sigma_inf as the list of v(p) - 1 for p = 1..n, so that
+    mapping a permutation's images over it composes; each prefix composite
+    is made once and shared by every tuple that extends it.
+    """
+
+    def extend(prefix: tuple[int, ...], v: list[int]):
+        if len(prefix) == r:
+            yield prefix, v
+            return
+        for k, (i, j) in enumerate(pairs):
+            at_i, at_j = v.index(i - 1), v.index(j - 1)  # (i j) v: swap the values i and j
+            nxt = list(v)
+            nxt[at_i], nxt[at_j] = j - 1, i - 1
+            yield from extend(prefix + (k,), nxt)
+
+    return extend((), [p - 1 for p in sigma_inf.images])
+
+
+def _has_cycle_type(images: list[int], counts: list[int]) -> bool:
+    """Whether the permutation has counts[k] k-cycles, given 0 and then its images of 1..n.
+
+    Uses up `images`, and stops at the first cycle the counts leave no room for.
+    """
+    counts = list(counts)
+    for start in range(1, len(images)):
+        p = images[start]
+        if not p:
+            continue
+        images[start] = 0  # zeroed once visited
+        length = 1
+        while p != start:
+            q = images[p]
+            images[p] = 0
+            p = q
+            length += 1
+        counts[length] -= 1
+        if counts[length] < 0:
+            return False
+    return True

@@ -166,6 +166,16 @@ class TestReport:
         assert len(err.splitlines()) == 1 and f"n = {data['n']}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("search_limit", 0), ("search_limit", -2), ("max_candidates", 0), ("max_candidates", -3)],
+    )
+    def test_bad_search_limits_rejected(self, tmp_path, capsys, field, value):
+        doc = dict(QUINTIC_DOC, options={"output_format": "jsonl", field: value})
+        code, out, err = run(["report", write_doc(tmp_path, doc)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"invalid document: options.{field}: must be at least 1, got {value}\n"
+
     def test_repeated_in_process_calls_agree(self, tmp_path, capsys):
         # the parser is shared between calls; errors must not leak between them
         good = write_doc(tmp_path, QUINTIC_DOC)
@@ -216,6 +226,20 @@ class TestEnumerate:
         code, out, err = run(["enumerate", "--max-degree", str(bound)], capsys)
         assert code == 2 and out == ""
         assert "between 1 and 8" in err
+
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            (["--limit", "0"], "--limit must be at least 1, got 0"),
+            (["--limit", "-1", "--max-candidates", "-5"], "--limit must be at least 1, got -1"),
+            (["--max-candidates", "-5"], "--max-candidates must be at least 1, got -5"),
+            (["--max-candidates", "0", "--no-search"], "--max-candidates must be at least 1, got 0"),
+        ],
+    )
+    def test_bad_search_limits_rejected(self, capsys, args, line):
+        code, out, err = run(["enumerate", "--max-degree", "3", *args], capsys)
+        assert code == 2 and out == ""
+        assert err == f"enumerate: {line}\n"
 
     def test_catalog_at_the_bound(self):
         catalog = cli.admissible_branch_data(hurwitz.MAX_SEARCH_DEGREE)

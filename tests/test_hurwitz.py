@@ -1,11 +1,15 @@
 """Branched-cover combinatorics: well-formed covers, genus, pullbacks, tuple search."""
 
+import itertools
 import math
 import random
 import re
+import time
+from collections import Counter
 
 import pytest
 
+from kumfib.cli import admissible_branch_data
 from kumfib.hurwitz import (
     MARK_INFINITY,
     MARK_QUARTER256,
@@ -14,8 +18,12 @@ from kumfib.hurwitz import (
     BranchData,
     HurwitzCover,
     HurwitzError,
+    SearchResult,
+    _canonical_representative,
+    _permutations_of_type,
     branch_data_of,
     c2_components,
+    canonical_key,
     genus,
     partitions,
     pullback,
@@ -23,7 +31,7 @@ from kumfib.hurwitz import (
     search_tuples,
     validate,
 )
-from kumfib.permutations import Permutation
+from kumfib.permutations import Permutation, is_transitive
 
 
 SPECIAL = (MARK_QUARTER256, MARK_INFINITY, MARK_ZERO)
@@ -301,3 +309,101 @@ class TestSearchTuples:
         data = BranchData(n=8, x=(1,) * 8, y=(4, 4), z=(1,) * 8, r=8)
         result = search_tuples(data, limit=2, max_candidates=2000)
         assert result.truncated
+
+
+def reference_search(b, limit, max_candidates):
+    """The tuple search as a plain loop on Permutation objects, for admissible data.
+
+    Same candidate order, budget and limit as search_tuples: extras in
+    itertools.product order, the class over 1/256 inside, sigma_0 from the
+    product relation.
+    """
+    n = b.n
+    sigma_inf = _canonical_representative(n, b.y)
+    transpositions = [Permutation.from_cycles(n, [pair]) for pair in itertools.combinations(range(1, n + 1), 2)]
+    found = {}
+    candidates = 0
+    for extras in itertools.product(transpositions, repeat=b.r):
+        lead = Permutation.identity(n)
+        for tau in extras:
+            lead = lead * tau
+        for sigma_c in _permutations_of_type(n, b.z):
+            candidates += 1
+            if candidates > max_candidates:
+                return SearchResult(tuple(found.values()), truncated=True)
+            sigma_0 = lead * sigma_c.inverse() * sigma_inf.inverse()
+            perms = (sigma_c, sigma_inf, sigma_0, *extras)
+            if sigma_0.cycle_type() != b.x or not is_transitive(n, perms):
+                continue
+            key = canonical_key(n, perms)
+            if key not in found:
+                found[key] = HurwitzCover.make(
+                    n, quarter256=sigma_c, infinity=sigma_inf, zero=sigma_0, extras=extras
+                )
+                if len(found) >= limit:
+                    return SearchResult(tuple(found.values()), truncated=True)
+    return SearchResult(tuple(found.values()), truncated=False)
+
+
+class TestSearchEquivalence:
+    def test_every_datum_up_to_degree_five(self):
+        for b in admissible_branch_data(5):
+            assert search_tuples(b) == reference_search(b, 16, 2_000_000), b
+
+    def test_sample_of_degrees_six_and_eight_at_a_small_budget(self):
+        catalog = admissible_branch_data(8)
+        sample = [b for b in catalog if b.n == 6][::16] + [b for b in catalog if b.n == 8][::72]
+        assert len(sample) == 11
+        for b in sample:
+            assert search_tuples(b, limit=4, max_candidates=2000) == reference_search(b, 4, 2000), b
+
+    def test_candidate_budget_is_exact(self):
+        # 8 three-cycles over 1/256 times 6 ** 2 pairs of extras: 288 candidates
+        data = BranchData(n=4, x=(1, 1, 1, 1), y=(2, 2), z=(3, 1), r=2)
+        full = search_tuples(data, max_candidates=288)
+        assert not full.truncated and len(full.covers) == 3
+        assert search_tuples(data, max_candidates=287).truncated
+        assert search_tuples(data, max_candidates=287).covers == full.covers
+
+    def test_limit_truncates_even_when_nothing_is_left(self):
+        data = BranchData(n=4, x=(1, 1, 1, 1), y=(2, 2), z=(3, 1), r=2)
+        assert search_tuples(data, limit=3).truncated
+        assert not search_tuples(data, limit=4).truncated
+
+
+def filtered_class(n, cycle_type):
+    """The class as the n! filter finds it, in lexicographic order of images."""
+    perms = map(Permutation, itertools.permutations(range(1, n + 1)))
+    return tuple(p for p in perms if p.cycle_type() == cycle_type)
+
+
+def centralizer_order(cycle_type):
+    return math.prod(k**m * math.factorial(m) for k, m in Counter(cycle_type).items())
+
+
+class TestClassGenerator:
+    def test_equals_the_filter_up_to_degree_six(self):
+        for n in range(1, 7):
+            for part in partitions(n):
+                assert _permutations_of_type(n, part) == filtered_class(n, part), part
+
+    def test_degree_eight_classes(self):
+        for part in partitions(8):
+            cls = _permutations_of_type(8, part)
+            assert len(cls) == math.factorial(8) // centralizer_order(part)
+            assert len(set(cls)) == len(cls)
+            assert all(p.cycle_type() == part for p in cls)
+            assert [p.images for p in cls] == sorted(p.images for p in cls)
+
+    def test_all_degree_eight_classes_within_budget(self):
+        # the n! filter took about 8 s for these 22 classes
+        _permutations_of_type.cache_clear()
+        start = time.perf_counter()
+        sizes = [len(_permutations_of_type(8, part)) for part in partitions(8)]
+        assert time.perf_counter() - start < 2.0
+        assert len(sizes) == 22 and sum(sizes) == math.factorial(8)
+
+    def test_cycle_type_order_and_bad_types(self):
+        assert _permutations_of_type(4, (1, 2, 1)) == _permutations_of_type(4, (2, 1, 1))
+        assert _permutations_of_type(4, (2, 1)) == ()
+        assert _permutations_of_type(3, (3, 0)) == ()
