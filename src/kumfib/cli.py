@@ -18,7 +18,8 @@ Calabi-Yau branch data (infinity profile in hodge.CY_INFINITY_PROFILES) has
 degree at most hurwitz.MAX_SEARCH_DEGREE = 8: `report` refuses branch data
 above it with exit 3, and `enumerate --max-degree` above it with exit 2.
 The search limits (`search_limit`/`max_candidates` in a document,
-`--limit`/`--max-candidates` for `enumerate`) below 1 exit 2.
+`--limit`/`--max-candidates` for `enumerate`) and the tracker settings
+(`--precision`/`--steps` for `monodromy`) below 1 exit 2.
 
 Input documents are JSON objects carrying either bare branch data
 
@@ -332,6 +333,10 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_monodromy(args) -> int:
+    for flag, value in (("--precision", args.precision), ("--steps", args.steps)):
+        if value < 1:
+            sys.stderr.write(f"monodromy: {flag} must be at least 1, got {value}\n")
+            return EXIT_INVALID_INPUT
     try:
         table = monodromy.puncture_table(
             precision_bits=args.precision, initial_steps=args.steps

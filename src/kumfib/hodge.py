@@ -209,11 +209,17 @@ class FixedCurveSummary:
 
 
 def fixed_curve(g: HurwitzCover) -> FixedCurveSummary:
-    """Pull the three fixed-curve components (built once) back along g and summarize."""
+    """Pull the three fixed-curve components (built once) back along g and summarize.
+
+    The two double covers are one cover, so it is pulled back once and counted twice.
+    """
     genera = []
     degrees = []
+    pulled: dict[HurwitzCover, list] = {}
     for component in c2_components():
-        for report in pullback(component, g):
+        if component not in pulled:
+            pulled[component] = pullback(component, g)
+        for report in pulled[component]:
             genera.append(report.genus)
             degrees.append(report.degree)
     return FixedCurveSummary(

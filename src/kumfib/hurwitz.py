@@ -25,6 +25,7 @@ cli and verification all import this module.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
@@ -441,22 +442,33 @@ def search_tuples(
     2n - 2 has no realization and yields the empty list.  Extra branch points
     are simple (transpositions).  The enumeration fixes a canonical
     representative over infinity and solves for the permutation over 0 from
-    the product relation; it keeps transitive hits, one per class under
-    `canonical_key`, in the order found.
+    the product relation; it keeps transitive hits, one per class, in the
+    order found.
 
     Candidates are taken in a fixed order: the ordered tuples of extra
     transpositions in itertools.product order (transpositions (i j), i < j,
     lexicographic), and for each of them the whole conjugacy class over
     1/256 in lexicographic order of images.  The class is built directly
     from cycle placements (`_permutations_of_type`), not filtered out of all
-    n! permutations.  The candidate loop runs on image lists: the extras
-    composites are kept on a prefix stack, the cycle type of sigma_0 is read
-    from a conjugate of its inverse made with one lookup per point, and
-    Permutation objects are made only for candidates of cycle type x over 0.
+    n! permutations.  A hit is a candidate whose sigma_0 has cycle type x;
+    only hits become Permutation objects.
+
+    With r >= 1 no candidate is tested one by one: for each prefix of r - 1
+    extras and each class element the cycles of one permutation w are walked
+    once, and the last transpositions that give type x are read off them
+    (`_surgery_hits`).  With r = 0 each class element is tested directly.
+
+    Repeats are recognised without `canonical_key`: two candidates are
+    simultaneously conjugate exactly when an element of the centralizer of
+    sigma_inf (`_centralizer`) carries one to the other, so each kept tuple
+    puts its whole orbit, keyed by (extras indices, images over 1/256), into
+    a seen set, and a hit found there is skipped before sigma_0 is built or
+    transitivity tested.
 
     `truncated` is set when the search stops early: at `limit` distinct
     tuples, even if none is left to find, or when a candidate past
-    `max_candidates` would be examined.
+    `max_candidates` would be examined, i.e. exactly when the
+    P^r |class| candidates (P transpositions) exceed `max_candidates`.
     """
     if b.n > MAX_SEARCH_DEGREE:
         raise HurwitzError(
@@ -468,42 +480,199 @@ def search_tuples(
     n = b.n
     sigma_inf = _canonical_representative(n, b.y)
     z_class = _permutations_of_type(n, b.z)
-    x_counts = [0] * (n + 1)  # x_counts[k] = number of k-cycles over 0
-    for length in b.x:
-        x_counts[length] += 1
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    pairs, pair_number = _pairs(n)
     transpositions = [Permutation.from_cycles(n, [pair]) for pair in pairs]
     sigma_inf_inv = sigma_inf.inverse()
 
-    # With lead = t_1 ... t_r the relation gives sigma_0 = lead sigma_c^-1 sigma_inf^-1,
-    # so sigma_0^-1 is conjugate to q = sigma_c v with v = lead^-1 sigma_inf: the
-    # cycle type of sigma_0 is that of q, one lookup per point.
-    found: dict[object, HurwitzCover] = {}
-    budget = max_candidates
-    for index, v in _extras_composites(sigma_inf, pairs, b.r):
-        extras = None
-        for sigma_c in z_class[: max(budget, 0)]:
-            q = sigma_c.images.__getitem__
-            if not _has_cycle_type([0, *map(q, v)], x_counts):
-                continue
-            if extras is None:
-                extras = tuple(transpositions[k] for k in index)
-            sigma_0 = sigma_inf * Permutation(map(q, v)).inverse() * sigma_inf_inv
-            perms = (sigma_c, sigma_inf, sigma_0, *extras)
-            if not is_transitive(n, perms):
-                continue
-            key = canonical_key(n, perms)
-            if key in found:
-                continue
-            found[key] = HurwitzCover.make(
-                n, quarter256=sigma_c, infinity=sigma_inf, zero=sigma_0, extras=extras
+    if b.r == 0:
+        hits = _direct_hits(sigma_inf, z_class, b.x, max_candidates)
+    else:
+        hits = _surgery_hits(sigma_inf, z_class, b.x, b.r, max_candidates)
+    # sigma_0 = lead sigma_c^-1 sigma_inf^-1 with lead = t_1 ... t_r, and
+    # v = lead^-1 sigma_inf = t_r ... t_1 sigma_inf, so sigma_0 = sigma_inf q^-1 sigma_inf^-1
+    # with q = sigma_c v.
+    found: list[HurwitzCover] = []
+    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    centralizer: tuple[tuple[int, ...], ...] = ()  # made at the first kept tuple
+    for index, sigma_c, v in hits:
+        if (index, sigma_c.images) in seen:
+            continue
+        extras = tuple(transpositions[k] for k in index)
+        q = Permutation(sigma_c.images[p] for p in v)
+        sigma_0 = sigma_inf * q.inverse() * sigma_inf_inv
+        perms = (sigma_c, sigma_inf, sigma_0, *extras)
+        if not is_transitive(n, perms):
+            continue
+        centralizer = centralizer or _centralizer(n, b.y)
+        for image in centralizer:
+            conjugate = [0] * n
+            for p, s in zip(image, sigma_c.images):
+                conjugate[p - 1] = image[s - 1]
+            moved = tuple(
+                pair_number[(image[pairs[k][0] - 1] - 1) * n + image[pairs[k][1] - 1] - 1]
+                for k in index
             )
-            if len(found) >= limit:
-                return SearchResult(covers=tuple(found.values()), truncated=True)
-        budget -= len(z_class)
-        if budget < 0:  # a candidate past max_candidates was due
-            return SearchResult(covers=tuple(found.values()), truncated=True)
-    return SearchResult(covers=tuple(found.values()), truncated=False)
+            seen.add((moved, tuple(conjugate)))
+        found.append(
+            HurwitzCover.make(n, quarter256=sigma_c, infinity=sigma_inf, zero=sigma_0, extras=extras)
+        )
+        if len(found) >= limit:
+            return SearchResult(covers=tuple(found), truncated=True)
+    truncated = len(pairs) ** b.r * len(z_class) > max_candidates
+    return SearchResult(covers=tuple(found), truncated=truncated)
+
+
+def _pairs(n: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The transpositions (i j), i < j, in lexicographic order, and their numbers.
+
+    The number k of (i j) is at (i - 1) n + (j - 1) and at (j - 1) n + (i - 1).
+    """
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    number = [0] * (n * n)
+    for k, (i, j) in enumerate(pairs):
+        number[(i - 1) * n + j - 1] = number[(j - 1) * n + i - 1] = k
+    return pairs, number
+
+
+def _centralizer(n: int, cycle_type: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The centralizer of _canonical_representative(n, cycle_type) as sorted image tuples.
+
+    Built from the cycles, not by filtering n!: an element sends each cycle
+    to a cycle of the same length, rotated by any amount, so there are
+    prod l^m_l m_l! of them for m_l cycles of length l.
+    """
+    cycles_by_length: dict[int, list[range]] = {}
+    start = 1
+    for length in sorted(cycle_type, reverse=True):
+        cycles_by_length.setdefault(length, []).append(range(start, start + length))
+        start += length
+    moves_by_length = []  # for each length, every map of its points that commutes
+    for length, cycles in cycles_by_length.items():
+        moves = []
+        for targets in itertools.permutations(cycles):
+            for shifts in itertools.product(range(length), repeat=len(cycles)):
+                moves.append([
+                    (p, target[(pos + shift) % length])
+                    for source, target, shift in zip(cycles, targets, shifts)
+                    for pos, p in enumerate(source)
+                ])
+        moves_by_length.append(moves)
+    elements = []
+    for choice in itertools.product(*moves_by_length):
+        images = [0] * n
+        for move in choice:
+            for p, q in move:
+                images[p - 1] = q
+        elements.append(tuple(images))
+    return tuple(sorted(elements))
+
+
+def _direct_hits(sigma_inf: Permutation, z_class, x: tuple[int, ...], budget: int):
+    """(index, sigma_c, v) for each candidate with no extras whose sigma_0 has type x.
+
+    v = sigma_inf as the list of v(p) - 1; q = sigma_c v is conjugate to
+    sigma_0^-1, so its cycle type, one lookup per point, is that of sigma_0.
+    """
+    v = [p - 1 for p in sigma_inf.images]
+    x_counts = [0] * (len(v) + 1)  # x_counts[k] = number of k-cycles over 0
+    for length in x:
+        x_counts[length] += 1
+    for sigma_c in z_class[:budget]:
+        q = sigma_c.images.__getitem__
+        if _has_cycle_type([0, *map(q, v)], x_counts):
+            yield (), sigma_c, v
+
+
+def _surgery_hits(sigma_inf: Permutation, z_class, x: tuple[int, ...], r: int, budget: int):
+    """(index, sigma_c, v) for each candidate within budget whose sigma_0 has type x, in order.
+
+    With u = t_(r-1) ... t_1 sigma_inf from the prefix stack and v = t_r u,
+    q = sigma_c t_r u is conjugate to t_r w with w = u sigma_c.  A
+    transposition (i j) joins the cycles of w through i and j when they
+    differ (lengths a, b -> a + b) and splits a cycle of length L in which
+    j lies d steps after i into cycles of lengths d and L - d.  So one walk
+    of w's cycles gives every t_r that makes type x: w must have len(x) + 1
+    or len(x) - 1 cycles and differ from x by one such move (`_move_to`).
+    Candidate number (prefix P + k) |class| + class index, for the k-th of
+    the P transpositions, fixes the order and the budget.
+    """
+    n, size = len(sigma_inf.images), len(z_class)
+    pairs, pair_number = _pairs(n)
+    per_prefix = len(pairs) * size
+    cycle_counts = {len(x) - 1, len(x) + 1}  # a transposition changes the count by one
+    moves: dict[tuple[int, ...], tuple[str, int, int] | None] = {}
+    for number, (prefix, u) in enumerate(_extras_composites(sigma_inf, pairs, r - 1)):
+        base = number * per_prefix
+        if base >= budget:
+            return
+        u_at = [0, *u].__getitem__  # u_at(s) = u(s) - 1 for s in 1..n
+        local = []  # k |class| + class index of each hit
+        for ci, sigma_c in enumerate(z_class):
+            w = list(map(u_at, sigma_c.images))  # w(p) - 1 at p - 1
+            cycles = _cycles(w)
+            if len(cycles) not in cycle_counts:
+                continue
+            shape = tuple(sorted(map(len, cycles)))
+            if shape not in moves:
+                moves[shape] = _move_to(shape, x)
+            move = moves[shape]
+            if move is None:
+                continue
+            kind, a, b = move
+            if kind == "join":
+                first = [c for c in cycles if len(c) == a]
+                second = first if a == b else [c for c in cycles if len(c) == b]
+                for ai, ca in enumerate(first):
+                    for cb in second[ai + 1:] if a == b else second:
+                        for i in ca:
+                            row = i * n
+                            local.extend(pair_number[row + j] * size + ci for j in cb)
+            else:  # split a cycle of length a into cycles of lengths b and a - b
+                for c in cycles:
+                    if len(c) == a:
+                        local.extend(
+                            pair_number[c[s] * n + c[(s + b) % a]] * size + ci
+                            for s in range(a if 2 * b != a else b)
+                        )
+        local.sort()
+        for hit in local:
+            if base + hit >= budget:
+                return
+            k, ci = divmod(hit, size)
+            yield prefix + (k,), z_class[ci], _after(pairs[k], u)
+
+
+def _cycles(w: list[int]) -> list[list[int]]:
+    """The cycles of the permutation p -> w[p] of 0..n-1, each in cycle order."""
+    out = []
+    visited = [False] * len(w)
+    for start in range(len(w)):
+        if visited[start]:
+            continue
+        cycle = [start]
+        visited[start] = True
+        p = w[start]
+        while p != start:
+            cycle.append(p)
+            visited[p] = True
+            p = w[p]
+        out.append(cycle)
+    return out
+
+
+def _move_to(shape: tuple[int, ...], x: tuple[int, ...]) -> tuple[str, int, int] | None:
+    """The one transposition move from cycle type `shape` to x, or None.
+
+    ("join", a, b): join a cycle of length a with one of length b;
+    ("split", L, d): split a cycle of length L into lengths d and L - d.
+    """
+    gained = sorted((Counter(x) - Counter(shape)).elements())
+    lost = sorted((Counter(shape) - Counter(x)).elements())
+    if len(gained) == 1 and len(lost) == 2 and gained[0] == sum(lost):
+        return ("join", lost[0], lost[1])
+    if len(gained) == 2 and len(lost) == 1 and lost[0] == sum(gained):
+        return ("split", lost[0], gained[0])
+    return None
 
 
 def _extras_composites(sigma_inf: Permutation, pairs: list[tuple[int, int]], r: int):
@@ -518,13 +687,18 @@ def _extras_composites(sigma_inf: Permutation, pairs: list[tuple[int, int]], r: 
         if len(prefix) == r:
             yield prefix, v
             return
-        for k, (i, j) in enumerate(pairs):
-            at_i, at_j = v.index(i - 1), v.index(j - 1)  # (i j) v: swap the values i and j
-            nxt = list(v)
-            nxt[at_i], nxt[at_j] = j - 1, i - 1
-            yield from extend(prefix + (k,), nxt)
+        for k, pair in enumerate(pairs):
+            yield from extend(prefix + (k,), _after(pair, v))
 
     return extend((), [p - 1 for p in sigma_inf.images])
+
+
+def _after(pair: tuple[int, int], v: list[int]) -> list[int]:
+    """(i j) v on the list of v(p) - 1: the values i - 1 and j - 1 swapped."""
+    i, j = pair
+    out = list(v)
+    out[v.index(i - 1)], out[v.index(j - 1)] = j - 1, i - 1
+    return out
 
 
 def _has_cycle_type(images: list[int], counts: list[int]) -> bool:

@@ -262,6 +262,25 @@ class TestEnumerate:
         assert sorted(brute, key=lambda b: (b.n, b.x, b.y, b.z, b.r)) == catalog
 
 
+class TestMonodromy:
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            (["--steps", "0"], "--steps must be at least 1, got 0"),
+            (["--steps", "-3"], "--steps must be at least 1, got -3"),
+            (["--precision", "0"], "--precision must be at least 1, got 0"),
+            (["--precision", "-1", "--steps", "0"], "--precision must be at least 1, got -1"),
+        ],
+    )
+    def test_bad_tracker_settings_rejected(self, capsys, monkeypatch, args, line):
+        def no_tracking(**kwargs):
+            raise AssertionError("tracker started on refused settings")
+
+        monkeypatch.setattr(cli.monodromy, "puncture_table", no_tracking)
+        code, out, err = run(["monodromy", *args], capsys)
+        assert (code, out, err) == (2, "", f"monodromy: {line}\n")
+
+
 class TestFibers:
     def test_reference_tables(self, capsys):
         code, out, _ = run(["fibers", "--max-x", "4"], capsys)

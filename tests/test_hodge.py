@@ -2,10 +2,12 @@
 
 import pytest
 
+from kumfib import hodge
 from kumfib.hodge import (
     COMPONENTS_BY_Y,
     CY_INFINITY_PROFILES,
     MULTIPLICITIES_BY_Y,
+    FixedCurveSummary,
     InternalError,
     UnsupportedError,
     analyze_branch_data,
@@ -24,6 +26,8 @@ from kumfib.hurwitz import (
     BranchData,
     HurwitzCover,
     InvalidCoverError,
+    c2_components,
+    pullback,
     regular_deck_cover,
 )
 from kumfib.permutations import Permutation
@@ -189,6 +193,21 @@ class TestPipeline:
         assert summary.s == 8
         assert summary.genera == (0,) * 8
         assert summary.component_degrees == (8,) * 8
+
+    def test_each_distinct_component_pulled_back_once(self, monkeypatch):
+        # c2_components() is (double, double, quadruple): two pullbacks, not three
+        g = regular_deck_cover()
+        reports = [r for c in c2_components() for r in pullback(c, g)]
+        calls = []
+        monkeypatch.setattr(hodge, "pullback", lambda *a: calls.append(a) or pullback(*a))
+        summary = fixed_curve(g)
+        assert len(calls) == 2
+        assert summary == FixedCurveSummary(
+            s=len(reports),
+            genera=tuple(sorted(r.genus for r in reports)),
+            p_g=sum(r.genus for r in reports),
+            component_degrees=tuple(sorted(r.degree for r in reports)),
+        )
 
     def test_non_cy_data_reports_without_hodge(self):
         # degree condition holds but y = (3,1) is outside {1,2,4}

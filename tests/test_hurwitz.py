@@ -9,7 +9,9 @@ from collections import Counter
 
 import pytest
 
+from kumfib import hurwitz
 from kumfib.cli import admissible_branch_data
+from kumfib.hodge import CY_INFINITY_PROFILES
 from kumfib.hurwitz import (
     MARK_INFINITY,
     MARK_QUARTER256,
@@ -20,7 +22,9 @@ from kumfib.hurwitz import (
     HurwitzError,
     SearchResult,
     _canonical_representative,
+    _centralizer,
     _permutations_of_type,
+    _surgery_hits,
     branch_data_of,
     c2_components,
     canonical_key,
@@ -311,37 +315,44 @@ class TestSearchTuples:
         assert result.truncated
 
 
-def reference_search(b, limit, max_candidates):
-    """The tuple search as a plain loop on Permutation objects, for admissible data.
+def reference_candidates(b):
+    """(extras, sigma_c, sigma_0) for every candidate of the search, in its order.
 
-    Same candidate order, budget and limit as search_tuples: extras in
-    itertools.product order, the class over 1/256 inside, sigma_0 from the
-    product relation.
+    Extras in itertools.product order, the class over 1/256 inside, sigma_0
+    from the product relation, all as Permutation objects.
     """
     n = b.n
     sigma_inf = _canonical_representative(n, b.y)
     transpositions = [Permutation.from_cycles(n, [pair]) for pair in itertools.combinations(range(1, n + 1), 2)]
-    found = {}
-    candidates = 0
     for extras in itertools.product(transpositions, repeat=b.r):
         lead = Permutation.identity(n)
         for tau in extras:
             lead = lead * tau
         for sigma_c in _permutations_of_type(n, b.z):
-            candidates += 1
-            if candidates > max_candidates:
+            yield extras, sigma_c, lead * sigma_c.inverse() * sigma_inf.inverse()
+
+
+def reference_search(b, limit, max_candidates):
+    """The tuple search as a plain loop on Permutation objects, for admissible data.
+
+    Same candidate order, budget and limit as search_tuples.
+    """
+    n = b.n
+    sigma_inf = _canonical_representative(n, b.y)
+    found = {}
+    for number, (extras, sigma_c, sigma_0) in enumerate(reference_candidates(b)):
+        if number >= max_candidates:
+            return SearchResult(tuple(found.values()), truncated=True)
+        perms = (sigma_c, sigma_inf, sigma_0, *extras)
+        if sigma_0.cycle_type() != b.x or not is_transitive(n, perms):
+            continue
+        key = canonical_key(n, perms)
+        if key not in found:
+            found[key] = HurwitzCover.make(
+                n, quarter256=sigma_c, infinity=sigma_inf, zero=sigma_0, extras=extras
+            )
+            if len(found) >= limit:
                 return SearchResult(tuple(found.values()), truncated=True)
-            sigma_0 = lead * sigma_c.inverse() * sigma_inf.inverse()
-            perms = (sigma_c, sigma_inf, sigma_0, *extras)
-            if sigma_0.cycle_type() != b.x or not is_transitive(n, perms):
-                continue
-            key = canonical_key(n, perms)
-            if key not in found:
-                found[key] = HurwitzCover.make(
-                    n, quarter256=sigma_c, infinity=sigma_inf, zero=sigma_0, extras=extras
-                )
-                if len(found) >= limit:
-                    return SearchResult(tuple(found.values()), truncated=True)
     return SearchResult(tuple(found.values()), truncated=False)
 
 
@@ -357,6 +368,20 @@ class TestSearchEquivalence:
         for b in sample:
             assert search_tuples(b, limit=4, max_candidates=2000) == reference_search(b, 4, 2000), b
 
+    def test_surgery_hits_are_the_candidates_of_type_x(self):
+        # every hit once, in candidate order, none of another type: a wrong
+        # hit with more cycles over 0 is intransitive and leaves no trace in the result
+        for b in admissible_branch_data(5):
+            if b.r == 0:
+                continue
+            n, budget = b.n, 5000
+            transpositions = [Permutation.from_cycles(n, [pair]) for pair in itertools.combinations(range(1, n + 1), 2)]
+            sigma_inf = _canonical_representative(n, b.y)
+            hits = _surgery_hits(sigma_inf, _permutations_of_type(n, b.z), b.x, b.r, budget)
+            found = [(tuple(transpositions[k] for k in index), sigma_c) for index, sigma_c, _ in hits]
+            candidates = itertools.islice(reference_candidates(b), budget)
+            assert found == [(e, c) for e, c, sigma_0 in candidates if sigma_0.cycle_type() == b.x], b
+
     def test_candidate_budget_is_exact(self):
         # 8 three-cycles over 1/256 times 6 ** 2 pairs of extras: 288 candidates
         data = BranchData(n=4, x=(1, 1, 1, 1), y=(2, 2), z=(3, 1), r=2)
@@ -369,6 +394,73 @@ class TestSearchEquivalence:
         data = BranchData(n=4, x=(1, 1, 1, 1), y=(2, 2), z=(3, 1), r=2)
         assert search_tuples(data, limit=3).truncated
         assert not search_tuples(data, limit=4).truncated
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_budget_boundaries(self, r):
+        # C = 6 transpositions over 1/256 and P = 6 transpositions in all; the
+        # last extra is found by cycle surgery, so the budget must cut inside it
+        data = BranchData(n=4, x=(2, 1, 1) if r == 2 else (1, 1, 1, 1), y=(2, 2), z=(2, 1, 1), r=r)
+        c, p = len(_permutations_of_type(4, data.z)), math.comb(4, 2)
+        assert (c, p) == (6, 6)
+        for budget in (1, c - 1, c, c + 1, p * c - 1, p * c, p * c + 1, p**r * c - 1, p**r * c):
+            assert search_tuples(data, 16, budget) == reference_search(data, 16, budget), budget
+
+    def test_limit_stops_inside_a_prefix(self):
+        data = BranchData(n=4, x=(2, 1, 1), y=(2, 2), z=(2, 1, 1), r=2)
+        full = search_tuples(data)
+        assert len(full.covers) == 12 and not full.truncated
+        # the first two tuples share their first extra: limit 1 stops between them
+        assert full.covers[0].extras[0] == full.covers[1].extras[0]
+        for limit in range(1, 12):
+            result = search_tuples(data, limit=limit)
+            assert result == reference_search(data, limit, 2_000_000), limit
+            assert result == SearchResult(full.covers[:limit], truncated=True)
+
+
+def commuting_filter(sigma):
+    """The centralizer of sigma as the n! filter finds it, in lexicographic order of images."""
+    perms = map(Permutation, itertools.permutations(range(1, sigma.degree + 1)))
+    return tuple(rho for rho in perms if rho * sigma == sigma * rho)
+
+
+class TestSeenSet:
+    def test_centralizer_equals_the_filter(self):
+        for y in CY_INFINITY_PROFILES:
+            n = sum(y)
+            if n <= 6:
+                found = tuple(map(Permutation, _centralizer(n, y)))
+                assert found == commuting_filter(_canonical_representative(n, y)), y
+                assert len(found) == centralizer_order(y), y
+
+    def test_degree_eight_centralizers(self):
+        for y in ((4, 4), (8,)):
+            sigma = _canonical_representative(8, y)
+            found = tuple(map(Permutation, _centralizer(8, y)))
+            assert len(set(found)) == len(found) == centralizer_order(y)
+            assert all(rho * sigma == sigma * rho for rho in found)
+
+    @pytest.mark.parametrize(
+        "data, limit",
+        [
+            (BranchData(n=5, x=(5,), y=(4, 1), z=(1, 1, 1, 1, 1), r=1), 16),
+            (BranchData(n=8, x=(2, 2, 2, 2), y=(4, 4), z=(2, 2, 2, 2), r=0), 64),
+        ],
+        ids=["quintic", "regular"],
+    )
+    def test_no_canonical_key_calls(self, monkeypatch, data, limit):
+        calls = []
+        real = hurwitz.canonical_key
+        monkeypatch.setattr(hurwitz, "canonical_key", lambda *a: calls.append(a) or real(*a))
+        assert search_tuples(data, limit=limit).covers
+        assert calls == []
+
+    def test_kept_tuples_are_pairwise_distinct(self):
+        data = admissible_branch_data(6)
+        data.append(BranchData(n=8, x=(2, 2, 2, 2), y=(4, 4), z=(2, 2, 2, 2), r=0))
+        for b in data:
+            covers = search_tuples(b, limit=64, max_candidates=20_000).covers
+            keys = [canonical_key(b.n, c.permutations) for c in covers]
+            assert len(set(keys)) == len(keys), b
 
 
 def filtered_class(n, cycle_type):
