@@ -265,8 +265,8 @@ def cmd_report(args) -> int:
         fmt = options.get("output_format", "both")
         if fmt not in ("text", "jsonl", "both"):
             raise DocumentError("options.output_format", f"unknown format {fmt!r}")
-        limit = options.get("search_limit", 16)
-        max_candidates = options.get("max_candidates", 2_000_000)
+        limit = options.get("search_limit", hurwitz.SEARCH_LIMIT)
+        max_candidates = options.get("max_candidates", hurwitz.MAX_CANDIDATES)
         if "cover" in doc:
             reports = [hodge.analyze_cover(parse_cover(doc["cover"]))]
         else:

@@ -17,15 +17,15 @@ RationalFunction itself satisfies the field protocol, towers such as
 Q(nu)[s] or Q(nu)(s)(t) come for free by nesting.
 
 Factorization into irreducibles delegates the factor-finding step to sympy
-(exact Zassenhaus-style factorization over Q); everything else is native.
+(exact Zassenhaus-style factorization over Q, sympy imported only then);
+everything else, rational_root included, is standard library.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import sympy
 
 # Exact rational scalar used throughout the package: always in lowest terms
 # with positive denominator, as required.
@@ -496,14 +496,44 @@ class Place:
         return f"Place({self.minimal_polynomial!r} = 0)"
 
 
-# -- factorization and orders (Q coefficients only) ---------------------------
+# -- rational roots -------------------------------------------------------------
 
-_X = sympy.Symbol("x")
+
+def rational_root(q, k: int) -> Fraction | None:
+    """The rational k-th root of q (k >= 1), or None when q is not a k-th power.
+
+    A negative q has a root only for odd k.  Square roots use math.isqrt,
+    higher roots integer Newton iteration from above.
+    """
+    q = Fraction(q)
+    if q < 0:
+        root = rational_root(-q, k) if k % 2 else None
+        return None if root is None else -root
+    num, den = _integer_root(q.numerator, k), _integer_root(q.denominator, k)
+    return None if num is None or den is None else Fraction(num, den)
+
+
+def _integer_root(m: int, k: int) -> int | None:
+    """The exact k-th root of an integer m >= 0, or None."""
+    if k == 2:
+        r = math.isqrt(m)
+    elif m == 0:  # Newton divides by r^(k-1), and r reaches 0 only here
+        r = 0
+    else:
+        r = 1 << -(-m.bit_length() // k)  # 2^ceil(bits/k) exceeds the root
+        while (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
+            r = s
+    return r if r**k == m else None
+
+
+# -- factorization and orders (Q coefficients only) ---------------------------
 
 
 def _to_sympy(p: Polynomial):
+    import sympy
+
     coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
-    return sympy.Poly(coeffs, _X, domain="QQ")
+    return sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ")
 
 
 def _from_sympy(sp) -> Polynomial:

@@ -25,16 +25,12 @@ from typing import Literal
 import mpmath
 
 from . import kodaira
-from .exact import PoleError, Polynomial, RationalFunction, compose
+from .exact import PoleError, Polynomial, RationalFunction, compose, rational_root
 from .mpolar import CuspError, ModularParams
 from .permutations import Permutation
 
 _NU = RationalFunction.x()
 _F = Fraction
-
-
-def _rf(num_coeffs, den_coeffs=(1,)) -> RationalFunction:
-    return RationalFunction(Polynomial(num_coeffs), Polynomial(den_coeffs))
 
 
 @dataclass(frozen=True)
@@ -54,8 +50,8 @@ def lambda_family() -> LambdaFamily:
     b = _F(3, 8) * lam - _F(1, 1728)
     d = lam**3
     # sigma = 2 - 23/(192 lam) + 1/(1728 lam^2), pi = (1 + 1/(144 lam))^3
-    sigma = _rf((1, -207, 3456), (0, 0, 1728))
-    pi = (1 + _rf((1,), (0, 144))) ** 3
+    sigma = RationalFunction.of((1, -207, 3456), (0, 0, 1728))
+    pi = (1 + RationalFunction.of((1,), (0, 144))) ** 3
     return LambdaFamily(a, b, d, sigma, pi)
 
 
@@ -127,8 +123,8 @@ def lambda_of_nu(nu):
 
 # -- the dihedral deck action ---------------------------------------------------
 
-ALPHA_BASE: RationalFunction = _rf((-1, 1), (1, 1))  # nu -> (nu-1)/(nu+1)
-BETA_BASE: RationalFunction = _rf((0, -1))  # nu -> -nu
+ALPHA_BASE: RationalFunction = RationalFunction.of((-1, 1), (1, 1))  # nu -> (nu-1)/(nu+1)
+BETA_BASE: RationalFunction = RationalFunction.of((0, -1))  # nu -> -nu
 
 ALPHA_LABELS = Permutation.from_cycles(6, [(1, 5, 2, 4), (3, 6)])
 BETA_LABELS = Permutation.from_cycles(6, [(1, 4), (2, 5), (3, 6)])
@@ -176,7 +172,7 @@ def deck_element(i: int, j: int) -> DeckElement:
     """The element alpha^i beta^j, i mod 4 and j mod 2."""
     i %= 4
     j %= 2
-    base = _rf((0, 1))
+    base = RationalFunction.of((0, 1))
     if j:
         base = BETA_BASE
     for _ in range(i):
@@ -202,7 +198,7 @@ def e1_model() -> kodaira.WeierstrassFamily:
 
 def e2_model() -> kodaira.WeierstrassFamily:
     """The partner surface: the first model precomposed with nu -> (nu+1)/(nu-1)."""
-    q = _rf((1, 1), (-1, 1))
+    q = RationalFunction.of((1, 1), (-1, 1))
     e1 = e1_model()
     return kodaira.WeierstrassFamily(
         a2=compose(e1.a2, q), a4=compose(e1.a4, q), a6=compose(e1.a6, q)
@@ -216,7 +212,7 @@ Involution = Literal["beta", "iota", "iota_prime"]
 #: Base maps on the nu-line covered by the three coordinate maps.
 INVOLUTION_BASE_MAPS: dict[str, RationalFunction] = {
     "beta": BETA_BASE,
-    "iota": _rf((1, 1), (-1, 1)),  # nu -> (nu+1)/(nu-1)
+    "iota": RationalFunction.of((1, 1), (-1, 1)),  # nu -> (nu+1)/(nu-1)
     "iota_prime": ALPHA_BASE,  # nu -> (nu-1)/(nu+1)
 }
 
@@ -304,8 +300,6 @@ def random_surface_point(rng) -> KummerPoint:
     Draws rational (nu, s, t) until the defining product is a rational
     square, then takes u to be its root.  Retries are cheap at test scale.
     """
-    import sympy
-
     for _ in range(5000):
         nu = _F(rng.randint(2, 9), rng.randint(1, 4))
         s = _F(rng.randint(-9, 9), rng.randint(1, 5))
@@ -315,8 +309,7 @@ def random_surface_point(rng) -> KummerPoint:
         rhs = kummer_rhs(nu, s, t)
         if rhs <= 0:
             continue
-        rn, en = sympy.integer_nthroot(rhs.numerator, 2)
-        rd, ed = sympy.integer_nthroot(rhs.denominator, 2)
-        if en and ed:
-            return KummerPoint(nu, s, t, _F(int(rn), int(rd)))
+        u = rational_root(rhs, 2)
+        if u is not None:
+            return KummerPoint(nu, s, t, u)
     raise RuntimeError("failed to sample an on-surface point")

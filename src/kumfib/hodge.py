@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .hurwitz import (
+    MAX_CANDIDATES,
+    SEARCH_LIMIT,
     BranchData,
     HurwitzCover,
     InvalidCoverError,
@@ -292,7 +294,7 @@ def analyze_cover(g: HurwitzCover) -> CYReport:
 
 
 def analyze_branch_data(
-    b: BranchData, limit: int = 16, max_candidates: int = 2_000_000
+    b: BranchData, limit: int = SEARCH_LIMIT, max_candidates: int = MAX_CANDIDATES
 ) -> list[CYReport]:
     """Analysis for bare branch data, one report per distinct (s, p_g) outcome.
 

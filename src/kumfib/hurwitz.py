@@ -431,10 +431,14 @@ def canonical_key(n: int, perms: tuple[Permutation, ...]):
 #: The largest Calabi-Yau degree, n = sum(y) over hodge.CY_INFINITY_PROFILES: the
 #: bound of search_tuples, report, enumerate and the cy-vs-riemann-hurwitz check.
 MAX_SEARCH_DEGREE = 8
+#: Default search limits of search_tuples, analyze_branch_data and a report
+#: document: tuples kept, and candidates tried, per datum.
+SEARCH_LIMIT = 16
+MAX_CANDIDATES = 2_000_000
 
 
 def search_tuples(
-    b: BranchData, limit: int = 16, max_candidates: int = 2_000_000
+    b: BranchData, limit: int = SEARCH_LIMIT, max_candidates: int = MAX_CANDIDATES
 ) -> SearchResult:
     """All realizations of the branch data, up to simultaneous conjugation.
 

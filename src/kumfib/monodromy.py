@@ -92,11 +92,8 @@ class LoopSpec:
 
     center: Fraction | Literal["infinity"]
     initial_steps: int = DEFAULT_STEPS
-    radius: Fraction | None = None  # None: half the distance to the nearest puncture
 
     def resolved_radius(self) -> Fraction:
-        if self.radius is not None:
-            return self.radius
         if self.center == INFINITY:
             return Fraction(BIG_RADIUS)
         others = [p for p in PUNCTURES if p != self.center]
@@ -298,14 +295,14 @@ def _min_pairwise(roots):
 def _track_pieces(pieces, roots, initial_steps, safety_radius):
     """Continue the root list along the concatenated path pieces.
 
-    Every piece starts at initial_steps subdivisions (the maximum step size);
-    steps shrink adaptively wherever the movement bound demands it and grow
-    back, never beyond the maximum.
+    Every piece starts at max(initial_steps, 2) subdivisions (the maximum step
+    size; one step around a full circle would end where it started); steps
+    shrink adaptively wherever the movement bound demands it and grow back,
+    never beyond the maximum.
     """
     roots = list(roots)
     for path in pieces:
-        nsteps = initial_steps
-        max_dt = 1 / nsteps
+        max_dt = 1 / max(initial_steps, 2)
         dt_floor = max_dt / 2**30
         step_budget = max(1024, 16 * initial_steps)
         accepted = 0

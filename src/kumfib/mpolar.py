@@ -10,7 +10,8 @@ The weight-3 parameter b survives normalization only up to sign; everything
 exported here depends on b through b^2 except fiber_locus, which takes a
 caller-chosen sign of b (the two choices swap the root triples together with
 x -> -x).  Branch tracking along parameter paths is the monodromy module's
-job, keeping this module exact and branch-free.
+job, keeping this module exact and branch-free; its exact square and cube
+roots come from exact.rational_root, so it needs no sympy.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
-from .exact import Polynomial
+from .exact import Polynomial, rational_root
 
 
 class CuspError(ValueError):
@@ -51,18 +50,6 @@ class SigmaPi:
     pi: Fraction
 
 
-def _rational_cube_root(d: Fraction) -> Fraction:
-    num, exact_n = sympy.integer_nthroot(abs(d.numerator), 3)
-    den, exact_d = sympy.integer_nthroot(d.denominator, 3)
-    if not (exact_n and exact_d):
-        raise ValueError(
-            f"{d} is not the cube of a rational; exact weight normalization "
-            "needs d to be a perfect cube"
-        )
-    root = Fraction(int(num), int(den))
-    return -root if d < 0 else root
-
-
 def normalize(p: ModularParams) -> tuple[Fraction, Fraction]:
     """Rescale to d = 1, returning the pair (a/d^(1/3), b^2/d).
 
@@ -72,7 +59,12 @@ def normalize(p: ModularParams) -> tuple[Fraction, Fraction]:
     """
     if p.d == 0:
         raise CuspError("cannot normalize on the cusp d = 0")
-    croot = _rational_cube_root(p.d)
+    croot = rational_root(p.d, 3)
+    if croot is None:
+        raise ValueError(
+            f"{p.d} is not the cube of a rational; exact weight normalization "
+            "needs d to be a perfect cube"
+        )
     return p.a / croot, p.b * p.b / p.d
 
 
@@ -120,20 +112,6 @@ def fiber_locus(a: Fraction, b: Fraction) -> tuple[Polynomial, Polynomial]:
     return p - 1, p + 1
 
 
-def _is_square(q: Fraction) -> bool:
-    if q < 0:
-        return False
-    rn, en = sympy.integer_nthroot(q.numerator, 2)
-    rd, ed = sympy.integer_nthroot(q.denominator, 2)
-    return bool(en and ed)
-
-
-def _sqrt_of_square(q: Fraction) -> Fraction:
-    rn, _ = sympy.integer_nthroot(q.numerator, 2)
-    rd, _ = sympy.integer_nthroot(q.denominator, 2)
-    return Fraction(int(rn), int(rd))
-
-
 @dataclass(frozen=True)
 class QuadraticSurd:
     """Exact value rational_part + radical_coeff * sqrt(radicand).
@@ -155,12 +133,9 @@ class QuadraticSurd:
         radicand = Fraction(radicand)
         if radical_coeff == 0 or radicand == 0:
             return QuadraticSurd(rational_part, Fraction(0), Fraction(0))
-        if _is_square(radicand):
-            return QuadraticSurd(
-                rational_part + radical_coeff * _sqrt_of_square(radicand),
-                Fraction(0),
-                Fraction(0),
-            )
+        root = rational_root(radicand, 2)
+        if root is not None:
+            return QuadraticSurd(rational_part + radical_coeff * root, Fraction(0), Fraction(0))
         return QuadraticSurd(rational_part, radical_coeff, radicand)
 
     @property

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import sympy
-
 from . import family, hodge, hurwitz, kodaira, monodromy, mpolar
 from .exact import Place, Polynomial, RationalFunction, compose, order_at
 from .permutations import Permutation, group_closure
@@ -189,6 +187,8 @@ def _check_delta():
     delta = mpolar.discriminant_delta(a_lift, b_var)
     native = sp.sigma * sp.sigma - 4 * sp.pi == delta
     # Independent oracle: sympy bivariate expansion.
+    import sympy
+
     a, b = sympy.symbols("a b")
     sym = (
         sympy.expand(
@@ -218,8 +218,7 @@ def _check_cross_family():
 
 @_check("loop-table", "loop table reproduces the reference permutations and product relation")
 def _check_loop_table():
-    tables = _tables()
-    table = tables[256]
+    table = _tables()[256]
     cycle_types = {
         "zero": table.around_zero.cycle_type(),
         "quarter256": table.around_quarter256.cycle_type(),
@@ -238,15 +237,12 @@ def _check_loop_table():
     product = table.around_zero * table.around_infinity * table.around_quarter256
     rho = find_relabeling(table)
     label_ok = rho is not None
-    stable = all(
-        tables[steps].as_dict() == table.as_dict() for steps in STEP_SCALES
-    )
-    ok = types_ok and swaps_ok and within_ok and product.is_identity and label_ok and stable
+    ok = types_ok and swaps_ok and within_ok and product.is_identity and label_ok
     actual = (
         f"types={cycle_types}, product={product.cycle_string()}, "
-        f"relabeling={rho.cycle_string() if rho else None}, stable={stable}"
+        f"relabeling={rho.cycle_string() if rho else None}"
     )
-    return ok, f"types={expected_types}, product=id, relabeling found, stable", actual
+    return ok, f"types={expected_types}, product=id, relabeling found", actual
 
 
 # -- criterion 7: deck group --------------------------------------------------------
@@ -284,6 +280,8 @@ def _check_deck_group():
 
 def _involution_identity(which: str) -> bool:
     """Symbolic check that the coordinate map preserves the hypersurface."""
+    import sympy
+
     nu, s, t = sympy.symbols("nu s t")
     F = family.kummer_rhs(nu, s, t)
     r = (nu - 1) / (nu + 1)

@@ -1,9 +1,14 @@
 """Command-line interface: documents, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kumfib
 from kumfib import cli, hodge, hurwitz
 
 QUINTIC_DOC = {
@@ -305,3 +310,40 @@ class TestVerify:
         )
         assert code == 0
         assert out.count("PASS") == 4 and "FAIL" not in out
+
+
+SYMPY_FREE_SCRIPT = """
+import contextlib, io, sys
+from kumfib import cli
+quintic, degree_four = sys.argv[1:]
+runs = [
+    ["report", quintic],
+    ["report", degree_four],
+    ["enumerate", "--max-degree", "4"],
+    ["fibers"],
+    ["monodromy", "--steps", "8"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(args) for args in runs]
+print(codes, "sympy" in sys.modules)
+"""
+
+
+def test_commands_other_than_verify_paper_do_not_import_sympy(tmp_path):
+    # sympy is for factorization and the symbolic oracles of verify-paper;
+    # importing it costs most of a CLI process's start-up
+    src = str(Path(kumfib.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    docs = [
+        write_doc(tmp_path, QUINTIC_DOC, "quintic.json"),
+        write_doc(tmp_path, REGULAR_COVER_DOC, "cover.json"),
+    ]
+    result = subprocess.run(
+        [sys.executable, "-c", SYMPY_FREE_SCRIPT, *docs],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[0, 0, 0, 0, 0] False\n"

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from kumfib.exact import (
     irreducible_factors,
     multiplicity_in,
     order_at,
+    rational_root,
 )
 
 X = RationalFunction.x()
@@ -254,3 +256,59 @@ def test_rational_function_field_laws(a, b, c):
     assert f - f == RationalFunction(Polynomial(()))
     if g:
         assert (f / g) * g == f
+
+
+class TestRationalRoot:
+    """rational_root against sympy.integer_nthroot on numerator and denominator."""
+
+    @staticmethod
+    def oracle(q, k):
+        q = F(q)
+        if q < 0 and k % 2 == 0:
+            return None
+        rn, en = sympy.integer_nthroot(abs(q.numerator), k)
+        rd, ed = sympy.integer_nthroot(q.denominator, k)
+        if not (en and ed):
+            return None
+        root = F(int(rn), int(rd))
+        return -root if q < 0 else root
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_every_small_integer(self, k):
+        for m in range(-3000, 5001):
+            assert rational_root(m, k) == self.oracle(m, k), m
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_zero(self, k):
+        assert rational_root(0, k) == 0
+
+    def test_negative_values(self):
+        assert rational_root(-8, 3) == -2
+        assert rational_root(F(-27, 64), 3) == F(-3, 4)
+        assert rational_root(F(-32, 243), 5) == F(-2, 3)
+        assert rational_root(-4, 2) is None
+        assert rational_root(F(-1, 4), 2) is None
+        assert rational_root(-16, 4) is None
+        assert rational_root(-9, 3) is None
+
+    def test_not_perfect_powers(self):
+        assert rational_root(2, 2) is None
+        assert rational_root(F(4, 3), 2) is None
+        assert rational_root(F(3, 4), 2) is None
+        assert rational_root(F(8, 9), 3) is None
+        assert rational_root(16, 3) is None
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_large_values(self, k):
+        rng = random.Random(20261018 + k)
+        for _ in range(100):
+            num = rng.getrandbits(rng.randint(1, 1600 // k)) + 1
+            den = rng.getrandbits(rng.randint(1, 1600 // k)) + 1
+            sign = rng.choice((1, -1))
+            power = sign * F(num, den) ** k
+            near = power + F(1, power.denominator)
+            wide = F(sign * rng.getrandbits(1600) + 1, rng.getrandbits(1500) + 1)
+            for q in (power, near, wide, wide**k):
+                assert rational_root(q, k) == self.oracle(q, k), (q, k)
+            if k % 2 or sign > 0:
+                assert rational_root(power, k) == sign * F(num, den)

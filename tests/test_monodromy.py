@@ -54,14 +54,15 @@ class TestLoops:
         assert monodromy._match(final, cfg).is_identity
 
     def test_non_puncture_center_rejected(self):
-        spec = LoopSpec(center=F(-257, 256), radius=F(1, 1024), initial_steps=64)
+        spec = LoopSpec(center=F(-257, 256), initial_steps=64)
         with pytest.raises(monodromy.MonodromyError):
             track_loop(spec, precision_bits=96)
 
-    def test_oversized_radius_hits_the_degeneracy(self):
+    def test_oversized_radius_hits_the_degeneracy(self, monkeypatch):
         # radius 1/256 around 1/256 passes through lambda = 0, where the six
         # roots degenerate in pairs; the tracker must refuse, not mislabel
-        spec = LoopSpec(center=F(1, 256), radius=F(1, 256), initial_steps=64)
+        monkeypatch.setattr(LoopSpec, "resolved_radius", lambda spec: F(1, 256))
+        spec = LoopSpec(center=F(1, 256), initial_steps=64)
         with pytest.raises(monodromy.MonodromyError):
             track_loop(spec, precision_bits=96)
 
@@ -71,13 +72,11 @@ class TestLoops:
         second = track_loop(spec, precision_bits=96)
         assert first == second
 
-    def test_radius_and_precision_robustness(self, tables):
+    def test_radius_and_precision_robustness(self, tables, monkeypatch):
         # a smaller circle and a different precision give the same permutation
         reference = tables[256].around_zero
-        smaller = track_loop(
-            LoopSpec(center=F(0), radius=F(1, 1024), initial_steps=64),
-            precision_bits=96,
-        )
+        monkeypatch.setattr(LoopSpec, "resolved_radius", lambda spec: F(1, 1024))
+        smaller = track_loop(LoopSpec(center=F(0), initial_steps=64), precision_bits=96)
         assert smaller == reference
 
     def test_zero_loop_swaps_triples_blockwise(self, tables):
@@ -179,6 +178,26 @@ class TestHighPrecisionOracle:
         assert "loop around quarter256  (1 2)" in out
         assert "loop around infinity    (1 5 2 6)(3 4)" in out
         assert "reference match   via relabeling (4 6)" in out
+
+
+class TestOneStep:
+    """A piece is never taken in fewer than two steps: a full circle in one
+    step would end where it starts and track every loop to the identity."""
+
+    @pytest.mark.parametrize("center", [F(0), F(1, 256), monodromy.INFINITY])
+    def test_one_step_tracks_as_two(self, center):
+        one = track_loop(LoopSpec(center=center, initial_steps=1), precision_bits=96)
+        two = track_loop(LoopSpec(center=center, initial_steps=2), precision_bits=96)
+        assert one == two
+        assert not one.is_identity
+
+    def test_cli_one_step_reproduces_the_table(self, capsys):
+        code = cli.main(["monodromy", "--steps", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "loop around zero        (1 6)(2 5)(3 4)" in out
+        assert "loop around quarter256  (1 2)" in out
+        assert "loop around infinity    (1 5 2 6)(3 4)" in out
 
 
 class TestDeckParity:
