@@ -16,10 +16,12 @@ which hodge.analyze_cover checks.
 
 Calabi-Yau branch data (infinity profile in hodge.CY_INFINITY_PROFILES) has
 degree at most hurwitz.MAX_SEARCH_DEGREE = 8: `report` refuses branch data
-above it with exit 3, and `enumerate --max-degree` above it with exit 2.
+or a cover above it with exit 3 (a cover before any of its permutations is
+built), and `enumerate --max-degree` above it with exit 2.
 The search limits (`search_limit`/`max_candidates` in a document,
 `--limit`/`--max-candidates` for `enumerate`) and the tracker settings
-(`--precision`/`--steps` for `monodromy`) below 1 exit 2.
+(`--precision`/`--steps` for `monodromy`) below 1 exit 2, as does a
+`--precision` too coarse for the base-point solve to be polished (1-3 bits).
 
 Input documents are JSON objects carrying either bare branch data
 
@@ -96,6 +98,13 @@ def parse_branch_data(obj, path: str = "branch_data") -> BranchData:
         raise DocumentError(path, str(exc)) from None
 
 
+def _within_cy_degree(n: int) -> None:
+    if n > hurwitz.MAX_SEARCH_DEGREE:
+        raise hodge.UnsupportedError(
+            f"degree n = {n} exceeds {hurwitz.MAX_SEARCH_DEGREE}, the largest Calabi-Yau degree"
+        )
+
+
 def parse_cover(obj, path: str = "cover") -> HurwitzCover:
     if not isinstance(obj, dict):
         raise DocumentError(path, "expected an object")
@@ -103,6 +112,7 @@ def parse_cover(obj, path: str = "cover") -> HurwitzCover:
     if unknown:
         raise DocumentError(path, f"unknown fields {sorted(unknown)}")
     degree = _expect_int(obj.get("degree"), f"{path}.degree")
+    _within_cy_degree(degree)  # before any permutation of that degree is built
 
     def perm(field: str, text) -> Permutation:
         if text is None:
@@ -140,6 +150,8 @@ def load_document(path: str):
         raise DocumentError(path, f"cannot read: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DocumentError(path, f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an over-long integer, deep nesting
+        raise DocumentError(path, f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DocumentError("$", "document must be a JSON object")
     has_data = "branch_data" in doc
@@ -271,12 +283,7 @@ def cmd_report(args) -> int:
             reports = [hodge.analyze_cover(parse_cover(doc["cover"]))]
         else:
             data = parse_branch_data(doc["branch_data"])
-            if data.n > hurwitz.MAX_SEARCH_DEGREE:
-                sys.stderr.write(
-                    f"unsupported branch data: degree n = {data.n} exceeds "
-                    f"{hurwitz.MAX_SEARCH_DEGREE}, the largest Calabi-Yau degree\n"
-                )
-                return EXIT_UNSUPPORTED
+            _within_cy_degree(data.n)
             reports = hodge.analyze_branch_data(
                 data, limit=limit, max_candidates=max_candidates
             )
@@ -286,6 +293,9 @@ def cmd_report(args) -> int:
     except hurwitz.InvalidCoverError as exc:
         sys.stderr.write(f"invalid cover: {exc}\n")
         return EXIT_INVALID_INPUT
+    except hodge.UnsupportedError as exc:
+        sys.stderr.write(f"unsupported {'cover' if 'cover' in doc else 'branch data'}: {exc}\n")
+        return EXIT_UNSUPPORTED
     _emit(reports, fmt)
     if any(r.unsupported and r.cy for r in reports):
         return EXIT_UNSUPPORTED
@@ -337,6 +347,13 @@ def cmd_monodromy(args) -> int:
         if value < 1:
             sys.stderr.write(f"monodromy: {flag} must be at least 1, got {value}\n")
             return EXIT_INVALID_INPUT
+    try:
+        monodromy.base_configuration(args.precision)
+    except monodromy.CoarseSolveError:
+        sys.stderr.write(
+            f"monodromy: --precision {args.precision} is too coarse for the base-point solve\n"
+        )
+        return EXIT_INVALID_INPUT
     try:
         table = monodromy.puncture_table(
             precision_bits=args.precision, initial_steps=args.steps

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Literal
-
-import mpmath
 
 from . import kodaira
 from .exact import PoleError, Polynomial, RationalFunction, compose, rational_root
@@ -44,7 +43,9 @@ class LambdaFamily:
     pi_of_lambda: RationalFunction
 
 
+@cache
 def lambda_family() -> LambdaFamily:
+    """The family's parameter maps, built once per process."""
     lam = _NU
     a = lam + _F(1, 144)
     b = _F(3, 8) * lam - _F(1, 1728)
@@ -55,18 +56,16 @@ def lambda_family() -> LambdaFamily:
     return LambdaFamily(a, b, d, sigma, pi)
 
 
-_FAMILY = lambda_family()
-
-
 def params_of_lambda(lam) -> ModularParams:
     """Exact (a, b, d) triple at a rational parameter value; lambda = 0 is the cusp."""
     lam = _F(lam)
     if lam == 0:
         raise CuspError("lambda = 0 gives d = 0 (cusp)")
+    fam = lambda_family()
     return ModularParams(
-        a=_FAMILY.a_of_lambda(lam),
-        b=_FAMILY.b_of_lambda(lam),
-        d=_FAMILY.d_of_lambda(lam),
+        a=fam.a_of_lambda(lam),
+        b=fam.b_of_lambda(lam),
+        d=fam.d_of_lambda(lam),
     )
 
 
@@ -96,8 +95,6 @@ def cover_tower() -> CoverTower:
     return CoverTower(f1=f1, f2=f2, f2_f3=f2_f3, lambda_of_nu=lam)
 
 
-_TOWER = cover_tower()
-
 #: lambda(nu) = (1/16) nu^2 (1-nu^2)^2 / (1+nu^2)^4, printed form.
 LAMBDA_OF_NU: RationalFunction = (
     _F(1, 16) * _NU**2 * (1 - _NU**2) ** 2 / (1 + _NU**2) ** 4
@@ -105,20 +102,13 @@ LAMBDA_OF_NU: RationalFunction = (
 
 
 def lambda_of_nu(nu):
-    """Evaluate the eightfold cover at nu, exactly or in floating point.
+    """Evaluate the eightfold cover LAMBDA_OF_NU at nu, in nu's own arithmetic.
 
-    Rational input gives an exact Fraction; any other numeric input is
-    evaluated with mpmath at the current working precision.  The poles
-    nu^2 + 1 = 0 raise PoleError.
+    Rational input gives an exact Fraction; an arbitrary-precision number
+    gives a value at its working precision, and float or complex input a
+    float or complex.  The poles nu^2 + 1 = 0 raise PoleError.
     """
-    f = _TOWER.lambda_of_nu
-    if isinstance(nu, (int, Fraction)):
-        return f(_F(nu))
-    z = mpmath.mpmathify(nu)
-    den = f.den(z)
-    if den == 0:
-        raise PoleError(f"nu = {nu} lies over lambda = infinity")
-    return f.num(z) / den
+    return LAMBDA_OF_NU(nu)
 
 
 # -- the dihedral deck action ---------------------------------------------------
@@ -227,8 +217,9 @@ def kummer_rhs(nu, s, t):
 class KummerPoint:
     """A point (nu, s, t, u) of the affine Kummer model.
 
-    Coordinates are either all exact (Fraction) or all floating (mpmath);
-    floats and complex are converted to mpmath on construction.
+    Coordinates are either all exact (Fraction) or all floating (any numeric
+    type with abs, arbitrary-precision or Python float and complex); make
+    turns ints into Fractions and keeps every other value as given.
     """
 
     nu: object
@@ -238,24 +229,17 @@ class KummerPoint:
 
     @staticmethod
     def make(nu, s, t, u) -> "KummerPoint":
-        def conv(v):
-            if isinstance(v, int):
-                return _F(v)
-            if isinstance(v, (float, complex)):
-                return mpmath.mpmathify(v)
-            return v
-
-        return KummerPoint(conv(nu), conv(s), conv(t), conv(u))
+        return KummerPoint(*(_F(v) if isinstance(v, int) else v for v in (nu, s, t, u)))
 
     @property
     def is_exact(self) -> bool:
         return all(isinstance(v, Fraction) for v in (self.nu, self.s, self.t, self.u))
 
-    def on_surface(self, tol=None) -> bool:
+    def on_surface(self, tol=1e-20) -> bool:
         """Whether u^2 equals the defining product, exactly or within tol.
 
-        Floating tolerance defaults to 1e-20, which assumes mpmath coordinates
-        at reasonably high working precision.
+        The floating test is relative to max(1, |rhs|, |u|^2); the default
+        tol assumes arbitrary-precision coordinates at a high working precision.
         """
         if self.nu in (1, -1):
             raise PoleError("the affine model degenerates at nu = +-1")
@@ -263,9 +247,7 @@ class KummerPoint:
         diff = self.u * self.u - rhs
         if self.is_exact:
             return diff == 0
-        tol = mpmath.mpf("1e-20") if tol is None else mpmath.mpf(tol)
-        scale = max(1, abs(mpmath.mpmathify(rhs)), abs(mpmath.mpmathify(self.u)) ** 2)
-        return abs(mpmath.mpmathify(diff)) <= tol * scale
+        return abs(diff) <= tol * max(1, abs(rhs), abs(self.u) ** 2)
 
 
 def apply_involution(which: Involution, p: KummerPoint) -> KummerPoint:

@@ -8,10 +8,10 @@ single-valued polynomial
 
     S(xi, lambda) = (4 xi^3 - 3 a(lambda) xi - b(lambda))^2 - d(lambda),
 
-a, b and d = lambda^3 being the family's parameter maps, read from
-family.lambda_family().  The square-root branch flip around lambda = 0 is then
-absorbed by the coordinate, so every loop closes on the nose and the
-matching permutation is well defined.
+a, b and d = lambda^3 being the family's parameter maps, read from the one
+instance family.lambda_family() returns.  The square-root branch flip around
+lambda = 0 is then absorbed by the coordinate, so every loop closes on the
+nose and the matching permutation is well defined.
 
 Conventions (frozen; the source of the reference table does not state its
 own, so agreement below is asserted exactly only after a single documented
@@ -34,8 +34,9 @@ the single relabeling swapping labels 4 and 6 carries all three onto the
 pinned REFERENCE_TABLE values simultaneously.
 
 Arithmetic: mpmath's polyroots solves for the six base roots at a chosen
-precision, and Newton's method polishes them in double precision.  The
-loops are then tracked in Python complex arithmetic by a predictor-corrector
+precision (base_configuration is the one place the package imports mpmath),
+and Newton's method polishes them in double precision.  The loops are then
+tracked in Python complex arithmetic by a predictor-corrector
 that accepts a step only when no root moves more than a third of the previous
 minimum separation, refuses paths that bring two roots within a safety
 radius, and matches each end point to a unique nearest base root.  A loop is
@@ -49,9 +50,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
-
-import mpmath
-from mpmath import mp
 
 from . import family, mpolar
 from .permutations import Permutation
@@ -84,6 +82,10 @@ class RootCollisionError(MonodromyError):
 
 class StepUnderflowError(MonodromyError):
     """Adaptive step size underflowed without meeting the movement bound."""
+
+
+class CoarseSolveError(MonodromyError):
+    """The base-point solve was too coarse for Newton's method to polish."""
 
 
 @dataclass(frozen=True)
@@ -178,13 +180,16 @@ def base_configuration(precision_bits: int = 128) -> TrackedRoots:
     root is then polished by Newton's method in double precision, the
     arithmetic the loops are tracked in, so a closed loop ends on roots as
     accurate as the ones it is matched against, whatever the precision of
-    the solve.
+    the solve.  A solve too coarse for Newton to polish (a step that fails
+    to converge, or lands nearer another root) raises CoarseSolveError.
     """
     if precision_bits in _BASE_CACHE:
         return _BASE_CACHE[precision_bits]
+    import mpmath
+
     a, b, d = (f(BASE_POINT) for f in _MAPS)
     sextic = mpolar.fiber_cubic(a, b) ** 2 - d
-    with mp.workprec(precision_bits):
+    with mpmath.workprec(precision_bits):
         solved = mpmath.polyroots(
             [mpmath.mpf(c.numerator) / c.denominator for c in reversed(sextic.coeffs)],
             maxsteps=200,
@@ -193,12 +198,14 @@ def base_configuration(precision_bits: int = 128) -> TrackedRoots:
         solved = [complex(xi) for xi in solved]
     lam0 = complex(BASE_POINT)
     a, b = _family_coeffs(lam0)
-    roots = [_newton(xi, lam0, a, b) for xi in solved]
+    coarse = CoarseSolveError(f"base-point roots at {precision_bits} bits too coarse to polish")
+    try:
+        roots = [_newton(xi, lam0, a, b) for xi in solved]
+    except MonodromyError:
+        raise coarse from None
     separation = _min_pairwise(solved)
     if any(abs(p - xi) > separation / 3 for p, xi in zip(roots, solved)):
-        raise MonodromyError(
-            f"base-point roots at {precision_bits} bits too coarse to polish"
-        )
+        raise coarse
     sqrt_lam = cmath.sqrt(lam0)
     s32 = sqrt_lam**3
     plus, minus = [], []

@@ -1,15 +1,21 @@
 """Command-line interface: documents, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kumfib
 from kumfib import cli, hodge, hurwitz
+from kumfib.permutations import Permutation
 
 QUINTIC_DOC = {
     "branch_data": {"n": 5, "x": [5], "y": [1, 4], "z": [1, 1, 1, 1, 1], "r": 1},
@@ -171,6 +177,29 @@ class TestReport:
         assert len(err.splitlines()) == 1 and f"n = {data['n']}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("degree", [9, 10**9])
+    def test_cover_degree_beyond_the_bound_exits_3(self, tmp_path, capsys, degree):
+        # refused before any permutation of that degree is allocated
+        doc = {"cover": {"degree": degree, "zero": "(1 2)", "infinity": "(1 2)"}}
+        code, out, err = run(["report", write_doc(tmp_path, doc)], capsys)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"unsupported cover: degree n = {degree} exceeds 8, the largest Calabi-Yau degree\n"
+        )
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"\xff\xfe{", b'{"cover": {"degree": ' + b"9" * 5000 + b"}}", b"[" * 100_000],
+        ids=["not-utf8", "long-integer", "deep-nesting"],
+    )
+    def test_undecodable_document_exits_2(self, tmp_path, capsys, raw):
+        path = tmp_path / "raw.json"
+        path.write_bytes(raw)
+        code, out, err = run(["report", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"invalid document: {path}: invalid JSON: ")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize(
         "field, value",
         [("search_limit", 0), ("search_limit", -2), ("max_candidates", 0), ("max_candidates", -3)],
@@ -285,6 +314,18 @@ class TestMonodromy:
         code, out, err = run(["monodromy", *args], capsys)
         assert (code, out, err) == (2, "", f"monodromy: {line}\n")
 
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_precision_too_coarse_for_the_base_solve(self, capsys, bits):
+        code, out, err = run(["monodromy", "--precision", str(bits), "--steps", "8"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"monodromy: --precision {bits} is too coarse for the base-point solve\n"
+
+    def test_coarsest_precision_that_polishes(self, capsys):
+        code, out, err = run(["monodromy", "--precision", "4", "--steps", "8"], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("base point        lambda = -257/256, precision 4 bits\n")
+        assert out.endswith("reference match   via relabeling (4 6)\n")
+
 
 class TestFibers:
     def test_reference_tables(self, capsys):
@@ -321,17 +362,19 @@ runs = [
     ["report", degree_four],
     ["enumerate", "--max-degree", "4"],
     ["fibers"],
-    ["monodromy", "--steps", "8"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(args) for args in runs]
-print(codes, "sympy" in sys.modules)
+    mpmath_before_monodromy = "mpmath" in sys.modules
+    codes.append(cli.main(["monodromy", "--steps", "8"]))
+print(codes, "sympy" in sys.modules, mpmath_before_monodromy)
 """
 
 
 def test_commands_other_than_verify_paper_do_not_import_sympy(tmp_path):
-    # sympy is for factorization and the symbolic oracles of verify-paper;
-    # importing it costs most of a CLI process's start-up
+    # sympy is for factorization and the symbolic oracles of verify-paper,
+    # mpmath for monodromy's base-point solve; importing them costs most of
+    # a CLI process's start-up
     src = str(Path(kumfib.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     docs = [
@@ -346,4 +389,117 @@ def test_commands_other_than_verify_paper_do_not_import_sympy(tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[0, 0, 0, 0, 0] False\n"
+    assert result.stdout == "[0, 0, 0, 0, 0] False False\n"
+
+
+# -- fuzzing `report` -------------------------------------------------------------
+
+
+def _cycle_text(n):
+    """Cycle strings for degree n: mostly well formed, some out of range or garbled."""
+    cycle = st.lists(st.integers(0, max(n, 1) + 1), min_size=1, max_size=4)
+    written = st.lists(cycle, max_size=3).map(
+        lambda cs: "".join("(" + " ".join(map(str, c)) + ")" for c in cs)
+    )
+    return st.one_of(written, st.sampled_from(["id", "", "(1 2", "(a b)"]), st.integers(-1, 2))
+
+
+@st.composite
+def _well_formed_cover(draw):
+    """A cover whose product is the identity: zero is solved from the others."""
+    n = draw(st.integers(1, 8))
+    perm = st.permutations(range(1, n + 1)).map(Permutation)
+    quarter, infinity = draw(perm), draw(perm)
+    extras = draw(st.lists(perm, max_size=2))
+    tail = Permutation.identity(n)
+    for e in extras:
+        tail = e * tail
+    zero = tail.inverse() * (infinity * quarter).inverse()
+    cycles = [p.cycle_string() for p in (quarter, infinity, zero)]
+    return {
+        "degree": n,
+        **dict(zip(("quarter256", "infinity", "zero"), cycles)),
+        "extras": [e.cycle_string() for e in extras],
+    }
+
+
+def _raw_cover(n):
+    fields = {mark: _cycle_text(n) for mark in ("quarter256", "infinity", "zero")}
+    fields["extras"] = st.one_of(st.lists(_cycle_text(n), max_size=2), st.just("(1 2)"))
+    return st.fixed_dictionaries({"degree": st.just(n)}, optional=fields)
+
+
+_FORMATS = st.sampled_from(["text", "jsonl", "both", "xml"])
+# valid values twice as often as refused ones
+_LIMITS = st.one_of(st.integers(1, 20), st.integers(1, 20), st.sampled_from([0, -1, "4"]))
+_BUDGETS = st.one_of(st.integers(1, 20_000), st.integers(1, 20_000), st.sampled_from([0, -1]))
+
+
+@st.composite
+def _branch_data_document(draw):
+    n = draw(st.integers(-1, 12))
+    exact = st.sampled_from([list(p) for p in hurwitz.partitions(n)]) if n >= 0 else st.nothing()
+    part = st.one_of(exact, st.lists(st.integers(-1, 12), max_size=4))
+    x, y, z = (draw(exact if n >= 0 and draw(st.booleans()) else part) for _ in "xyz")
+    admissible_r = 2 * n - 2 - sum(v - 1 for v in [*x, *y, *z])
+    r = draw(st.one_of(st.just(max(admissible_r, 0)), st.integers(-1, 6)))
+    options = draw(
+        st.fixed_dictionaries(
+            {}, optional={"output_format": _FORMATS, "search_limit": _LIMITS}
+        )
+    )
+    # the tuple search is brute force: above degree 4 it always runs on a budget
+    if n > 4 or draw(st.booleans()):
+        options["max_candidates"] = draw(_BUDGETS)
+    return {"branch_data": {"n": n, "x": x, "y": y, "z": z, "r": r}, "options": options}
+
+
+_cover_document = st.fixed_dictionaries(
+    {
+        "cover": st.one_of(
+            _well_formed_cover(),
+            st.integers(-1, 12).flatmap(_raw_cover),
+            st.sampled_from([3, "4", {"degree": True}, {"degree": 2.0}, {"degree": 3, "at": 1}]),
+        )
+    },
+    optional={"options": st.fixed_dictionaries({}, optional={"output_format": _FORMATS})},
+)
+
+_malformed_text = st.sampled_from(
+    [
+        "{not json",
+        "[]",
+        "{}",
+        '{"cover": {"degree": 2}, "branch_data": {}}',
+        '{"cover": {"degree": 2}, "options": []}',
+        '{"cover": {"degree": 2}, "options": {"precision_bits": 16}}',
+    ]
+)
+
+_documents = st.one_of(
+    _cover_document.map(json.dumps),
+    _branch_data_document().map(json.dumps),
+    _malformed_text,
+)
+
+
+def _report_in_process(path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["report", path])
+    return code, out.getvalue(), err.getvalue()
+
+
+# a fixed sample, so the suite's outcome and run time do not vary between runs
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_documents)
+@example(json.dumps({"cover": {"degree": 10**9, "zero": "(1 2)", "infinity": "(1 2)"}}))
+def test_report_fuzz_exits_cleanly_and_deterministically(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        code, out, err = _report_in_process(path)
+        assert code in (0, 2, 3), (code, err)
+        assert "Traceback" not in err
+        assert _report_in_process(path)[1] == out

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 import sympy
 
-from kumfib import family
+from kumfib import family, monodromy
 from kumfib.exact import PoleError, RationalFunction, compose
 from kumfib.mpolar import CuspError, normalize, sigma_pi
 from kumfib.permutations import Permutation
@@ -23,6 +23,12 @@ class TestParameterMaps:
     def test_cusp(self):
         with pytest.raises(CuspError):
             family.params_of_lambda(0)
+
+    def test_one_family_instance(self):
+        fam = family.lambda_family()
+        assert family.lambda_family() is fam
+        maps = (fam.a_of_lambda, fam.b_of_lambda, fam.d_of_lambda)
+        assert all(m is f for m, f in zip(monodromy._MAPS, maps, strict=True))
 
     def test_closed_forms_match_normalized_invariants(self):
         fam = family.lambda_family()
@@ -83,6 +89,15 @@ class TestCoverTower:
 
     def test_exact_rational_value(self):
         assert family.lambda_of_nu(F(2)) == F(1, 16) * 4 * 9 / 625
+
+    def test_one_evaluator_in_every_arithmetic(self):
+        # the printed rational function evaluates exactly, in mpmath, or in floats
+        assert family.lambda_of_nu(2) == family.LAMBDA_OF_NU(F(2)) == F(9, 2500)
+        value = family.lambda_of_nu(2.0)
+        assert type(value) is float and value == pytest.approx(9 / 2500, rel=1e-15)
+        assert type(family.lambda_of_nu(1 + 1j)) is complex
+        with pytest.raises(PoleError, match="^pole at "):
+            family.lambda_of_nu(1j)
 
 
 class TestDeckGroup:
@@ -198,6 +213,14 @@ class TestKummerInvolutions:
             family.apply_involution("beta", family.KummerPoint(F(-1), F(2), F(2), F(2)))
         with pytest.raises(PoleError):
             family.apply_involution("iota", family.KummerPoint(F(1), F(2), F(2), F(2)))
+
+    def test_make_keeps_python_floats(self):
+        nu, s, t = 3.0, 0.5, 2.25
+        u = family.kummer_rhs(nu, s, t) ** 0.5  # the product is negative: u is complex
+        p = family.KummerPoint.make(nu, s, t, u)
+        assert (type(p.nu), type(p.u)) == (float, complex) and not p.is_exact
+        assert p.on_surface(tol=1e-12)
+        assert family.KummerPoint.make(3, 1, 2, 0).nu == F(3)
 
     def test_floating_mode(self):
         with mpmath.workprec(113):
