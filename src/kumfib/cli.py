@@ -18,7 +18,7 @@ Calabi-Yau branch data (infinity profile in hodge.CY_INFINITY_PROFILES) has
 degree at most hurwitz.MAX_SEARCH_DEGREE = 8: `report` refuses branch data
 or a cover above it with exit 3 (a cover before any of its permutations is
 built), and `enumerate --max-degree` above it with exit 2.
-The search limits (`search_limit`/`max_candidates` in a document,
+The search limits (`search_limit`/`max_candidates` in a branch-data document,
 `--limit`/`--max-candidates` for `enumerate`) and the tracker settings
 (`--precision`/`--steps` for `monodromy`) below 1 exit 2, as does a
 `--precision` too coarse for the base-point solve to be polished (1-3 bits).
@@ -33,8 +33,11 @@ or an explicit monodromy tuple in cycle notation (whitespace/commas both fine)
                "quarter256": "(1 3)", "infinity": "(1 4 3 2)", "zero": "(1 2)(3 4)",
                "extras": []}}
 
-with an optional {"options": {"output_format": "text" | "jsonl" | "both",
-"search_limit": int, "max_candidates": int}}; any other option is refused.
+with optional {"options": ...}.  Both kinds take "output_format": "text" |
+"jsonl" | "both".  Only branch data takes the search limits "search_limit"
+and "max_candidates" (ints), because only Calabi-Yau branch data is ever
+searched; a cover is analyzed as given.  Any other option, and a search
+limit on a cover, is refused (exit 2, one `invalid document: options` line).
 Structured output is line-delimited JSON with a stable field order; all
 values are integers, booleans or strings, so output is byte-identical across
 runs.
@@ -161,7 +164,8 @@ def load_document(path: str):
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise DocumentError("options", "expected an object")
-    known = {"output_format", "search_limit", "max_candidates"}
+    # a cover is not searched, so only branch data takes the search limits
+    known = {"output_format", "search_limit", "max_candidates"} if has_data else {"output_format"}
     unknown = set(options) - known
     if unknown:
         raise DocumentError("options", f"unknown fields {sorted(unknown)}")

@@ -17,8 +17,11 @@ The threefold is guaranteed smooth when the cover is unramified over 1/256
 with c_j = 19, 8, 0 for y_j = 1, 2, 4, s the number of components of the
 pulled-back fixed curve and p_g its geometric genus.  s and p_g depend on the
 actual monodromy tuple, not just the branch data, so the analysis pipeline
-consumes explicit tuples (searching for them when only branch data is given)
-and emits one report per distinct (s, p_g) outcome, flagged when ambiguous.
+consumes explicit tuples and emits one report per distinct (s, p_g) outcome,
+flagged when ambiguous.  When only branch data is given, the tuples are
+searched for only when the data is Calabi-Yau: non-CY data that admits a
+rational cover has no Hodge formula for s and p_g to enter, so it is
+answered from the data alone.
 
 The l = 1 (y = 8) case has no tabulated c_j and the Hodge formulas are not
 extended to it; requesting them reports "unsupported" instead of a guess.
@@ -262,10 +265,13 @@ class CYReport:
         return self.euler == 2 * (self.h11 - self.h21)
 
 
+_NOT_CY = "canonical sheaf is not trivial for this data"
+
+
 def _report_for_tuple(b: BranchData, summary: FixedCurveSummary) -> CYReport:
     base = CYReport.for_branch(b, s=summary.s, p_g=summary.p_g, genera=summary.genera)
     if not base.cy:
-        return replace(base, unsupported="canonical sheaf is not trivial for this data")
+        return replace(base, unsupported=_NOT_CY)
     try:
         c_pair = tuple(C_BY_Y[y] for y in b.y) if b.l == 2 else None
         h11_value = h11(b, summary.s)
@@ -298,11 +304,20 @@ def analyze_branch_data(
 ) -> list[CYReport]:
     """Analysis for bare branch data, one report per distinct (s, p_g) outcome.
 
+    Data that admits a rational cover but is not Calabi-Yau (y outside
+    CY_INFINITY_PROFILES) gets a single report with the inventory, no curve
+    data and no search: s and p_g enter only the Hodge formulas, which need
+    the Calabi-Yau condition.  Data that fails Riemann-Hurwitz still goes to
+    search_tuples, which returns empty before examining any candidate; so
+    only Calabi-Yau data ever costs a search.
+
     Different tuples with the same branch data can pull the fixed curve back
     differently; when they do, every outcome is reported and each report is
     flagged ambiguous.  When no tuple realizes the data, a single report with
     the inventory (and no curve data) is returned.
     """
+    if b.admits_rational_cover() and b.y not in CY_INFINITY_PROFILES:
+        return [CYReport.for_branch(b, unsupported=_NOT_CY)]
     result: SearchResult = search_tuples(b, limit=limit, max_candidates=max_candidates)
     outcomes: dict[tuple[int, int], CYReport] = {}
     for cover in result.covers:

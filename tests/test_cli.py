@@ -32,6 +32,19 @@ REGULAR_COVER_DOC = {
     "options": {"output_format": "jsonl"},
 }
 
+# non-CY branch data whose tuple searches took seconds: y = (1^8) has all of
+# S_8 as centralizer, and r = 9 gives 15^9 extra transpositions
+NON_CY_DOCS = [
+    {
+        "branch_data": {"n": 8, "x": [7, 1], "y": [1] * 8, "z": [6, 2], "r": 2},
+        "options": {"output_format": "jsonl", "max_candidates": 20000},
+    },
+    {
+        "branch_data": {"n": 6, "x": [2, 1, 1, 1, 1], "y": [1] * 6, "z": [1] * 6, "r": 9},
+        "options": {"output_format": "jsonl"},
+    },
+]
+
 
 def degree_eight_cover_document():
     """The degree-8 regular cover of the worked example as a cover document."""
@@ -209,6 +222,23 @@ class TestReport:
         code, out, err = run(["report", write_doc(tmp_path, doc)], capsys)
         assert code == 2 and out == ""
         assert err == f"invalid document: options.{field}: must be at least 1, got {value}\n"
+
+    @pytest.mark.parametrize("field, value", [("search_limit", 3), ("max_candidates", 7)])
+    def test_search_options_on_a_cover_rejected(self, tmp_path, capsys, field, value):
+        # a cover is not searched, so a search limit on it would be ignored
+        doc = dict(REGULAR_COVER_DOC, options={"output_format": "jsonl", field: value})
+        code, out, err = run(["report", write_doc(tmp_path, doc)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"invalid document: options: unknown fields ['{field}']\n"
+
+    @pytest.mark.parametrize("doc", NON_CY_DOCS, ids=["y1x8", "n6r9"])
+    def test_non_cy_branch_data_answered_without_a_search(self, tmp_path, capsys, doc):
+        code, out, err = run(["report", write_doc(tmp_path, doc)], capsys)
+        assert (code, err) == (0, "")
+        [line] = out.splitlines()
+        record = json.loads(line)
+        assert record["cy"] is False and record["fixed_curve"] is None
+        assert record["unsupported"] == "canonical sheaf is not trivial for this data"
 
     def test_repeated_in_process_calls_agree(self, tmp_path, capsys):
         # the parser is shared between calls; errors must not leak between them
@@ -448,8 +478,7 @@ def _branch_data_document(draw):
             {}, optional={"output_format": _FORMATS, "search_limit": _LIMITS}
         )
     )
-    # the tuple search is brute force: above degree 4 it always runs on a budget
-    if n > 4 or draw(st.booleans()):
+    if draw(st.booleans()):
         options["max_candidates"] = draw(_BUDGETS)
     return {"branch_data": {"n": n, "x": x, "y": y, "z": z, "r": r}, "options": options}
 
@@ -494,6 +523,8 @@ def _report_in_process(path):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_documents)
 @example(json.dumps({"cover": {"degree": 10**9, "zero": "(1 2)", "infinity": "(1 2)"}}))
+@example(json.dumps({"branch_data": NON_CY_DOCS[0]["branch_data"]}))
+@example(json.dumps({"branch_data": NON_CY_DOCS[1]["branch_data"]}))
 def test_report_fuzz_exits_cleanly_and_deterministically(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")

@@ -209,17 +209,37 @@ class TestPipeline:
             component_degrees=tuple(sorted(r.degree for r in reports)),
         )
 
-    def test_non_cy_data_reports_without_hodge(self):
-        # degree condition holds but y = (3,1) is outside {1,2,4}
-        b = BranchData(n=4, x=(2, 2), y=(3, 1), z=(1, 1, 1, 1), r=2)
-        reports = analyze_branch_data(b)
-        assert reports and all(not r.cy and r.h11 is None for r in reports)
+    @pytest.mark.parametrize(
+        "b",
+        [
+            # degree condition holds but y = (3,1) is outside {1,2,4}
+            BranchData(n=4, x=(2, 2), y=(3, 1), z=(1, 1, 1, 1), r=2),
+            # y = (1^8): its centralizer is all of S_8
+            BranchData(n=8, x=(7, 1), y=(1,) * 8, z=(6, 2), r=2),
+            # 15^9 extra transpositions for a brute-force search
+            BranchData(n=6, x=(2, 1, 1, 1, 1), y=(1,) * 6, z=(1,) * 6, r=9),
+        ],
+        ids=["y31", "y1x8", "n6r9"],
+    )
+    def test_non_cy_data_reports_without_hodge(self, monkeypatch, b):
+        # answered from the data alone: no search, no pullback
+        def never(*args, **kwargs):
+            raise AssertionError("non-CY branch data must not be searched")
+
+        monkeypatch.setattr(hodge, "search_tuples", never)
+        monkeypatch.setattr(hodge, "fixed_curve", never)
+        assert b.admits_rational_cover()
+        [r] = analyze_branch_data(b)
+        assert not r.cy and r.h11 is None
+        assert (r.s, r.p_g, r.genera) == (None, None, None)
+        assert not r.ambiguous and not r.search_truncated
+        assert r.unsupported == "canonical sheaf is not trivial for this data"
 
     def test_unrealizable_data_flagged(self):
         b = BranchData(n=2, x=(2,), y=(2,), z=(2,), r=0)
         reports = analyze_branch_data(b)
         assert len(reports) == 1
-        assert reports[0].unsupported is not None
+        assert reports[0].unsupported == "no transitive monodromy tuple realizes this branch data"
         assert reports[0].s is None
 
     def test_euler_consistency_across_catalog(self):
