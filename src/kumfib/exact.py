@@ -169,21 +169,24 @@ class Polynomial:
     # -- euclidean structure -------------------------------------------------
 
     def __divmod__(self, other: "Polynomial"):
-        if not isinstance(other, Polynomial):
-            other = self._lift(other)
+        """Classical long division in place on the coefficient list."""
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = Polynomial.zero()
-        r = self
-        d = other.degree
-        lead = other.leading
-        while not r.is_zero and r.degree >= d:
-            shift = r.degree - d
-            c = r.leading / lead
-            term = Polynomial((0,) * shift + (c,))
-            q = q + term
-            r = r - term * other
-        return q, r
+        b = other.coeffs
+        d = len(b) - 1
+        lead = b[-1]
+        r = list(self.coeffs)
+        q = [0] * max(len(r) - d, 0)
+        for k in reversed(range(len(q))):
+            if not r[k + d]:  # a cancelled term: the quotient skips this degree
+                continue
+            c = q[k] = r[k + d] / lead
+            for i in range(d):
+                r[k + i] = r[k + i] - c * b[i]
+        return Polynomial(q), Polynomial(r[:d])
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -414,6 +417,13 @@ class RationalFunction:
 def compose(outer: RationalFunction, inner: RationalFunction) -> RationalFunction:
     """Exact composition outer(inner(x)), reduced to coprime form.
 
+    With outer = (sum n_i y^i) / (sum d_i y^i), inner = p/q and d the larger
+    of the two degrees of outer, outer(inner) = N/D for the homogenised forms
+    N = sum n_i p^i q^(d-i) and D = sum d_i p^i q^(d-i), built as Polynomials
+    from the powers of p and q.  One reduction RationalFunction(N, D) then
+    suffices, where Horner in the field would reduce at every step; N and D
+    are in fact already coprime, as both pairs num/den and p/q are.
+
     Composition with a constant inner map yields a constant; an inner map
     whose image lies in the pole locus of outer raises PoleError.
     """
@@ -421,19 +431,20 @@ def compose(outer: RationalFunction, inner: RationalFunction) -> RationalFunctio
         outer = RationalFunction(outer)
     if not isinstance(inner, RationalFunction):
         inner = RationalFunction(inner)
+    d = max(outer.num.degree, outer.den.degree)
+    p_pows, q_pows = [Polynomial.one()], [Polynomial.one()]
+    for _ in range(d):
+        p_pows.append(p_pows[-1] * inner.num)
+        q_pows.append(q_pows[-1] * inner.den)
+    terms = [p_pows[i] * q_pows[d - i] for i in range(d + 1)]
 
-    def poly_at(p: Polynomial) -> RationalFunction:
-        if p.is_zero:
-            return RationalFunction(Polynomial.zero())
-        acc = RationalFunction(Polynomial((p.coeffs[-1],)))
-        for c in reversed(p.coeffs[:-1]):
-            acc = acc * inner + RationalFunction(Polynomial((c,)))
-        return acc
+    def form(f: Polynomial) -> Polynomial:
+        return sum((Polynomial((c,)) * t for c, t in zip(f.coeffs, terms) if c), Polynomial.zero())
 
-    den = poly_at(outer.den)
+    den = form(outer.den)
     if den.is_zero:
         raise PoleError("inner map lands identically in the pole locus of outer")
-    return poly_at(outer.num) / den
+    return RationalFunction(form(outer.num), den)
 
 
 class Place:

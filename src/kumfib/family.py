@@ -18,6 +18,7 @@ f2 o f3) with all arithmetic over Q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -279,19 +280,23 @@ def apply_involution(which: Involution, p: KummerPoint) -> KummerPoint:
 def random_surface_point(rng) -> KummerPoint:
     """A random exact on-surface point, for involution round-trip tests.
 
-    Draws rational (nu, s, t) until the defining product is a rational
-    square, then takes u to be its root.  Retries are cheap at test scale.
+    Draws rational (nu, s, t) = (a/b, c/d, e/f) until the defining product
+    is a rational square, then takes u to be its root.  The product is
+    N / (d^3 f^3 (a-b)^2 b^2) with the integer
+    N = c(c-d)(c(a-b)^2 - d(a+b)^2) * e(e-f)(e b^2 - f a^2), so it is a
+    positive rational square exactly when m = N d f is a positive integer
+    square; draws are tested in integers, and only the accepted one is
+    turned into Fractions.
     """
     for _ in range(5000):
-        nu = _F(rng.randint(2, 9), rng.randint(1, 4))
-        s = _F(rng.randint(-9, 9), rng.randint(1, 5))
-        t = _F(rng.randint(-9, 9), rng.randint(1, 5))
-        if nu in (1, -1, 0) or s == 0 or t == 0:
+        a, b = rng.randint(2, 9), rng.randint(1, 4)
+        c, d = rng.randint(-9, 9), rng.randint(1, 5)
+        e, f = rng.randint(-9, 9), rng.randint(1, 5)
+        if a == b or c == 0 or e == 0:  # nu = 1, s = 0 or t = 0
             continue
-        rhs = kummer_rhs(nu, s, t)
-        if rhs <= 0:
-            continue
-        u = rational_root(rhs, 2)
-        if u is not None:
-            return KummerPoint(nu, s, t, u)
+        s_part = c * (c - d) * (c * (a - b) ** 2 - d * (a + b) ** 2)
+        m = s_part * e * (e - f) * (e * b * b - f * a * a) * d * f
+        if m > 0 and math.isqrt(m) ** 2 == m:
+            nu, s, t = _F(a, b), _F(c, d), _F(e, f)
+            return KummerPoint(nu, s, t, rational_root(kummer_rhs(nu, s, t), 2))
     raise RuntimeError("failed to sample an on-surface point")

@@ -44,6 +44,17 @@ class TestPolynomial:
         q, r = divmod(p, Polynomial((-1, 1)))  # x - 1
         assert q == Polynomial((1, 1)) and r.is_zero
 
+    @pytest.mark.parametrize("other", ["x", 1.5, RationalFunction.x()])
+    def test_division_by_a_non_polynomial_is_a_type_error(self, other):
+        p = Polynomial((1, 2))
+        assert p.__divmod__(other) is NotImplemented
+        with pytest.raises(TypeError):
+            divmod(p, other)
+        with pytest.raises(TypeError):
+            p % other
+        with pytest.raises(TypeError):
+            p // other
+
     def test_gcd_is_monic(self):
         a = Polynomial((-2, 0, 2))  # 2x^2 - 2
         b = Polynomial((-3, 3))  # 3x - 3
@@ -130,6 +141,98 @@ def test_compose_evaluate_round_trip():
                 continue
             assert got == expected
             hits += 1
+
+
+def reference_compose(outer, inner):
+    """The former definition: Horner in the field, one reduction per step."""
+
+    def poly_at(p):
+        if p.is_zero:
+            return RationalFunction(Polynomial.zero())
+        acc = RationalFunction(Polynomial((p.coeffs[-1],)))
+        for c in reversed(p.coeffs[:-1]):
+            acc = acc * inner + RationalFunction(Polynomial((c,)))
+        return acc
+
+    den = poly_at(outer.den)
+    if den.is_zero:
+        raise PoleError("inner map lands identically in the pole locus of outer")
+    return poly_at(outer.num) / den
+
+
+def _random_poly(rng, deg, coeff=None):
+    coeff = coeff or (lambda: F(rng.randint(-5, 5), rng.randint(1, 3)))
+    while True:
+        cs = [coeff() for _ in range(deg)] + [coeff()]
+        if cs[-1]:
+            return Polynomial(cs)
+
+
+def _q_of_a(rng):
+    """A random element of Q(a), numerator and denominator of degree <= 1."""
+    return _random_rf(rng, max_deg=1)
+
+
+def _compose_cases(rng):
+    """About 200 seeded (outer, inner) pairs over Q, then one over Q(a)."""
+    for _ in range(50):  # Moebius inners
+        while True:
+            al, be, ga, de = (F(rng.randint(-4, 4)) for _ in range(4))
+            if al * de != be * ga:
+                break
+        yield _random_rf(rng, 3), RationalFunction(Polynomial((be, al)), Polynomial((de, ga)))
+    for _ in range(30):  # constant inners, a third of them on a pole of outer
+        c = F(rng.randint(-4, 4), rng.randint(1, 3))
+        outer = _random_rf(rng, 3)
+        if rng.random() < 0.35:
+            outer = outer / (X - c)
+        yield outer, RationalFunction.constant(c)
+    for _ in range(10):  # zero numerators, outer or inner
+        yield RationalFunction(Polynomial(()), _random_poly(rng, 2)), _random_rf(rng, 3)
+        yield _random_rf(rng, 3), RationalFunction(Polynomial(()), _random_poly(rng, 2))
+    for _ in range(50):  # deg num < deg den, then deg num > deg den
+        lo, hi = sorted(rng.sample(range(4), 2))
+        yield RationalFunction(_random_poly(rng, lo), _random_poly(rng, hi)), _random_rf(rng, 3)
+        yield RationalFunction(_random_poly(rng, hi), _random_poly(rng, lo)), _random_rf(rng, 3)
+    coeff = lambda: _q_of_a(rng)  # noqa: E731
+    outer = RationalFunction(_random_poly(rng, 1, coeff), _random_poly(rng, 1, coeff))
+    inner = RationalFunction(_random_poly(rng, 1, coeff), _random_poly(rng, 1, coeff))
+    yield outer, inner
+
+
+def test_compose_matches_the_field_horner_definition():
+    rng = random.Random(20261018)
+    poles = 0
+    cases = list(_compose_cases(rng))
+    assert len(cases) == 201
+    for outer, inner in cases:
+        try:
+            expected = reference_compose(outer, inner)
+        except PoleError:
+            poles += 1
+            with pytest.raises(PoleError):
+                compose(outer, inner)
+            continue
+        got = compose(outer, inner)
+        assert got == expected and got.den.leading == 1, (outer, inner)
+    assert poles > 0
+
+
+def test_divmod_and_gcd_on_random_inputs():
+    rng = random.Random(7)
+    over_q = (lambda: F(rng.randint(-6, 6), rng.randint(1, 4)), 8, 4)
+    over_q_of_a = (lambda: _q_of_a(rng), 3, 2)
+    for coeff, max_a, max_b in [over_q] * 40 + [over_q_of_a] * 6:
+        a = _random_poly(rng, rng.randint(0, max_a), coeff)
+        b = _random_poly(rng, rng.randint(0, max_b), coeff)
+        q, r = divmod(a, b)
+        assert q * b + r == a and r.degree < b.degree
+        assert (q, r) == (a // b, a % b)
+        g = a.gcd(b)
+        assert g.leading == 1
+        assert (a % g).is_zero and (b % g).is_zero
+        c = _random_poly(rng, rng.randint(1, 2), coeff)
+        assert (a * c).gcd(b * c) == (g * c).monic()
 
 
 class TestPlacesAndOrders:

@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from kumfib import family, monodromy
-from kumfib.exact import PoleError, RationalFunction, compose
+from kumfib.exact import PoleError, RationalFunction, compose, rational_root
 from kumfib.mpolar import CuspError, normalize, sigma_pi
 from kumfib.permutations import Permutation
 
@@ -168,6 +168,31 @@ def _sympy_preserves(which):
     }[which]
     image = surface.subs(subs[0], simultaneous=True)
     return sympy.cancel(image - subs[1] * surface) == 0
+
+
+def reference_surface_point(rng):
+    """The former sampler: the rejection loop in Fractions."""
+    for _ in range(5000):
+        nu = F(rng.randint(2, 9), rng.randint(1, 4))
+        s = F(rng.randint(-9, 9), rng.randint(1, 5))
+        t = F(rng.randint(-9, 9), rng.randint(1, 5))
+        if nu in (1, -1, 0) or s == 0 or t == 0:
+            continue
+        rhs = family.kummer_rhs(nu, s, t)
+        if rhs <= 0:
+            continue
+        u = rational_root(rhs, 2)
+        if u is not None:
+            return family.KummerPoint(nu, s, t, u)
+    raise RuntimeError("failed to sample an on-surface point")
+
+
+@pytest.mark.parametrize("seed", [20260810, 31, 77, 13])
+def test_surface_points_match_the_fraction_sampler(seed):
+    fast, slow = random.Random(seed), random.Random(seed)
+    for _ in range(40):
+        assert family.random_surface_point(fast) == reference_surface_point(slow)
+    assert fast.getstate() == slow.getstate()
 
 
 class TestKummerInvolutions:
