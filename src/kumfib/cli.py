@@ -352,16 +352,14 @@ def cmd_monodromy(args) -> int:
             sys.stderr.write(f"monodromy: {flag} must be at least 1, got {value}\n")
             return EXIT_INVALID_INPUT
     try:
-        monodromy.base_configuration(args.precision)
-    except monodromy.CoarseSolveError:
+        table = monodromy.puncture_table(
+            precision_bits=args.precision, initial_steps=args.steps
+        )
+    except monodromy.CoarseSolveError:  # raised by the base-point solve, before any tracking
         sys.stderr.write(
             f"monodromy: --precision {args.precision} is too coarse for the base-point solve\n"
         )
         return EXIT_INVALID_INPUT
-    try:
-        table = monodromy.puncture_table(
-            precision_bits=args.precision, initial_steps=args.steps
-        )
     except monodromy.MonodromyError as exc:
         sys.stderr.write(f"monodromy failed: {exc}\n")
         return EXIT_CHECK_FAILURE

@@ -223,15 +223,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def compose(self, inner: "Polynomial") -> "Polynomial":
-        """self(inner(x)) as a Polynomial."""
-        if not self.coeffs:
-            return Polynomial.zero()
-        acc = Polynomial((self.coeffs[-1],))
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * inner + Polynomial((c,))
-        return acc
-
     def squarefree_part_is_self(self) -> bool:
         """True when the polynomial has no repeated roots."""
         if self.degree <= 1:
@@ -393,12 +384,6 @@ class RationalFunction:
             return (RationalFunction(self.den, self.num)) ** (-n)
         return RationalFunction(self.num**n, self.den**n)
 
-    def derivative(self) -> "RationalFunction":
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, x):
@@ -448,7 +433,11 @@ def compose(outer: RationalFunction, inner: RationalFunction) -> RationalFunctio
 
 
 class Place:
-    """A closed point of the projective line over Q."""
+    """A closed point of the projective line over Q.
+
+    The constructor trusts that a finite place's polynomial is irreducible;
+    Place.finite checks it.
+    """
 
     __slots__ = ("kind", "minimal_polynomial")
 
@@ -460,10 +449,6 @@ class Place:
             if minimal_polynomial is None or minimal_polynomial.degree < 1:
                 raise ExactAlgebraError("finite place needs a nonconstant polynomial")
             minimal_polynomial = minimal_polynomial.monic()
-            if not _is_irreducible(minimal_polynomial):
-                raise ExactAlgebraError(
-                    f"minimal polynomial {minimal_polynomial!r} is reducible over Q"
-                )
         elif kind == Place.INFINITY:
             if minimal_polynomial is not None:
                 raise ExactAlgebraError("the place at infinity has no polynomial")
@@ -474,7 +459,13 @@ class Place:
 
     @staticmethod
     def finite(poly: Polynomial) -> "Place":
-        return Place(Place.FINITE, poly)
+        """The place of an irreducible polynomial; a reducible one is refused."""
+        place = Place(Place.FINITE, poly)
+        if not _is_irreducible(place.minimal_polynomial):
+            raise ExactAlgebraError(
+                f"minimal polynomial {place.minimal_polynomial!r} is reducible over Q"
+            )
+        return place
 
     @staticmethod
     def at(value) -> "Place":
@@ -574,8 +565,7 @@ def irreducible_factors(p: Polynomial) -> list[tuple[Place, int]]:
     _, factors = _to_sympy(p).factor_list()
     out = []
     for f, mult in factors:
-        poly = _from_sympy(f).monic()
-        out.append((Place.finite(poly), int(mult)))
+        out.append((Place(Place.FINITE, _from_sympy(f)), int(mult)))  # irreducible already
     out.sort(key=lambda pm: (pm[0].minimal_polynomial.degree, pm[0].minimal_polynomial.coeffs))
     return out
 

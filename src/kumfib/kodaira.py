@@ -2,12 +2,13 @@
 
 A family y^2 = x^3 + a2 x^2 + a4 x + a6 with rational-function coefficients
 is classified place by place: at each closed point of the projective line
-(irreducible polynomial, or infinity via nu -> 1/w) the model is first made
-minimal by the quadratic twist (x, y) -> (u^2 x, u^3 y), shifting the
-valuations of (c4, c6, Delta) by (4k, 6k, 12k), and the fiber type is then
-read off the standard residue-characteristic-zero table on the triple
-(v(c4), v(c6), v(Delta)).  Places, not individual complex points, carry the
-types, so Galois-conjugate fibers are reported once.
+(irreducible polynomial, or infinity, where orders are taken in the local
+coordinate 1/nu) the model is first made minimal by the quadratic twist
+(x, y) -> (u^2 x, u^3 y), shifting the valuations of (c4, c6, Delta) by
+(4k, 6k, 12k), and the fiber type is then read off the standard
+residue-characteristic-zero table on the triple (v(c4), v(c6), v(Delta)).
+Places, not individual complex points, carry the types, so Galois-conjugate
+fibers are reported once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .exact import (
     Place,
     Polynomial,
     RationalFunction,
-    compose,
+    compose,  # noqa: F401  unused, but perfbench/tracing.py wraps kodaira.compose by name
     irreducible_factors,
     order_at,
 )
@@ -151,45 +152,15 @@ def classify(w: WeierstrassFamily) -> list[KodairaFiber]:
     """All singular fibers of the family, over places including infinity.
 
     Candidate places are the zeros and poles of Delta together with poles of
-    c4 and c6 (where a non-minimal model may hide a singular fiber), plus the
-    place at infinity examined through the substitution nu -> 1/w with the
-    minimal twist.
+    c4 and c6 (where a non-minimal model may hide a singular fiber), found by
+    one factorisation of their product, and then the place at infinity.  The
+    fibers come in that order: finite places by (degree, coefficients) of
+    their minimal polynomials, infinity last.
     """
     c4, c6, delta = c_invariants(w)
     if delta.is_zero:
         raise ClassificationError("discriminant vanishes identically")
-
-    candidates: dict[Place, None] = {}
-    for poly in (delta.num, delta.den, c4.den, c6.den):
-        if poly.degree > 0:
-            for place, _ in irreducible_factors(poly):
-                candidates[place] = None
-
-    fibers = []
-    for place in candidates:
-        fiber = _classify_at(c4, c6, delta, place)
-        if fiber is not None:
-            fibers.append(fiber)
-
-    recip = RationalFunction(Polynomial((1,)), Polynomial((0, 1)))  # 1/w
-    at_zero = Place.at(0)
-    fiber = _classify_at(
-        compose(c4, recip), compose(c6, recip), compose(delta, recip), at_zero
-    )
-    if fiber is not None:
-        fibers.append(
-            KodairaFiber(
-                place=Place.at_infinity(),
-                symbol=fiber.symbol,
-                n=fiber.n,
-                vdelta=fiber.vdelta,
-            )
-        )
-
-    def sort_key(f: KodairaFiber):
-        if f.place.is_infinity:
-            return (1, ())
-        return (0, (f.place.minimal_polynomial.degree, f.place.minimal_polynomial.coeffs))
-
-    fibers.sort(key=sort_key)
-    return fibers
+    bad = delta.num * delta.den * c4.den * c6.den
+    places = [place for place, _ in irreducible_factors(bad)] + [Place.at_infinity()]
+    fibers = (_classify_at(c4, c6, delta, place) for place in places)
+    return [fiber for fiber in fibers if fiber is not None]

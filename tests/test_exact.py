@@ -60,11 +60,6 @@ class TestPolynomial:
         b = Polynomial((-3, 3))  # 3x - 3
         assert a.gcd(b) == Polynomial((-1, 1))
 
-    def test_compose(self):
-        sq = Polynomial((0, 0, 1))
-        shift = Polynomial((1, 1))
-        assert sq.compose(shift) == Polynomial((1, 2, 1))
-
 
 class TestRationalFunction:
     def test_reduction_and_monic_denominator(self):
@@ -267,6 +262,27 @@ class TestFactorization:
             ((F(-1), F(1)), 1),
             ((F(1), F(1)), 1),
             ((F(1), F(0), F(1)), 1),
+        }
+
+    def test_divisor_factors_each_polynomial_once(self, monkeypatch):
+        # the places of sympy's factors are built without factoring them again
+        calls = []
+        factor_list = sympy.Poly.factor_list
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return factor_list(self, *args, **kwargs)
+
+        monkeypatch.setattr(sympy.Poly, "factor_list", counted)
+        f = (X**2 + 1) * (X - 2) ** 2 / ((X**2 - 3) * X)
+        orders = dict(divisor_of(f))
+        assert len(calls) == 2  # numerator and denominator
+        assert orders == {
+            Place.at(0): -1,
+            Place.at(2): 2,
+            Place.finite(Polynomial((1, 0, 1))): 1,
+            Place.finite(Polynomial((-3, 0, 1))): -1,
+            Place.at_infinity(): -1,
         }
 
     def test_constant_has_no_factors(self):

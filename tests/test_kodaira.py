@@ -1,14 +1,25 @@
 """Weierstrass invariants and Kodaira classification."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
-from kumfib import family
-from kumfib.exact import Place, Polynomial, RationalFunction, order_at
+from kumfib import family, kodaira
+from kumfib.exact import (
+    Place,
+    Polynomial,
+    RationalFunction,
+    compose,
+    irreducible_factors,
+    order_at,
+)
 from kumfib.kodaira import (
     ClassificationError,
+    KodairaFiber,
     WeierstrassFamily,
+    _classify_at,
     c_invariants,
     classify,
     j_function,
@@ -131,3 +142,180 @@ class TestJFunction:
         num_shift = (j - F(125, 27)).num
         q, rem = divmod(num_shift, place_poly)
         assert rem.is_zero
+
+
+def reference_classify(w):
+    """The former definition: four factorisations, nu -> 1/w for infinity, a sort."""
+    c4, c6, delta = c_invariants(w)
+    if delta.is_zero:
+        raise ClassificationError("discriminant vanishes identically")
+    candidates = {}
+    for poly in (delta.num, delta.den, c4.den, c6.den):
+        if poly.degree > 0:
+            for place, _ in irreducible_factors(poly):
+                candidates[place] = None
+    fibers = [f for f in (_classify_at(c4, c6, delta, p) for p in candidates) if f is not None]
+    recip = RationalFunction(Polynomial((1,)), Polynomial((0, 1)))
+    fiber = _classify_at(
+        compose(c4, recip), compose(c6, recip), compose(delta, recip), Place.at(0)
+    )
+    if fiber is not None:
+        fibers.append(KodairaFiber(Place.at_infinity(), fiber.symbol, fiber.n, fiber.vdelta))
+
+    def sort_key(f):
+        if f.place.is_infinity:
+            return (1, ())
+        return (0, (f.place.minimal_polynomial.degree, f.place.minimal_polynomial.coeffs))
+
+    return sorted(fibers, key=sort_key)
+
+
+def _table(fibers):
+    return [(f.place, f.symbol, f.n, f.vdelta) for f in fibers]
+
+
+def _outcome(fn, w):
+    try:
+        return fn(w)
+    except ClassificationError as exc:
+        return ClassificationError, str(exc)
+
+
+def scale(w, u):
+    """The model (u^2 a2, u^4 a4, u^6 a6): isomorphic, not minimal where u vanishes."""
+    return WeierstrassFamily(a2=u**2 * w.a2, a4=u**4 * w.a4, a6=u**6 * w.a6)
+
+
+def twist(w, t):
+    """The quadratic twist (t a2, t^2 a4, t^3 a6): starred fibers where t vanishes."""
+    return WeierstrassFamily(a2=t * w.a2, a4=t**2 * w.a4, a6=t**3 * w.a6)
+
+
+def _random_coefficient(rng, with_den):
+    def poly(deg):
+        return Polynomial([F(rng.randint(-2, 2), rng.choice((1, 1, 1, 2))) for _ in range(deg + 1)])
+
+    num = poly(rng.randint(0, 1))
+    den = poly(1) if with_den else Polynomial((1,))
+    return RationalFunction(num, den if not den.is_zero else Polynomial((1,)))
+
+
+def random_families(seed, count):
+    """Seeded families: zero a2 or a6, denominators, and non-minimal or twisted models."""
+    rng = random.Random(seed)
+    for i in range(count):
+        shape = i % 10
+        with_den = shape < 6 and rng.random() < 0.15  # keep the modified models small
+        a2, a4, a6 = (_random_coefficient(rng, with_den) for _ in range(3))
+        if i % 5 == 1:
+            a2 = 0
+        elif i % 5 == 2:
+            a6 = 0
+        w = WeierstrassFamily(a2=a2, a4=a4, a6=a6)
+        if shape == 6:  # not minimal at nu = 0 or 1 (nor at infinity)
+            w = scale(w, rng.choice((NU, NU - 1)))
+        elif shape == 7:  # not minimal at infinity (nor at nu = -2 or 3)
+            w = scale(w, NU + rng.choice((2, -3)))
+        elif shape >= 8:  # starred and additive fibers
+            w = twist(w, rng.choice((NU, NU + 2)))
+        yield w
+
+
+ADDITIVE = [  # (family, symbol at nu = 0)
+    (WeierstrassFamily(a2=0, a4=0, a6=NU), "II"),
+    (WeierstrassFamily(a2=0, a4=NU, a6=0), "III"),
+    (WeierstrassFamily(a2=0, a4=0, a6=NU**2), "IV"),
+    (WeierstrassFamily(a2=0, a4=NU**2, a6=0), "I0*"),
+    (twist(family.e1_model(), NU), "I4*"),
+    (WeierstrassFamily(a2=0, a4=0, a6=NU**4), "IV*"),
+    (WeierstrassFamily(a2=0, a4=NU**3, a6=0), "III*"),
+    (WeierstrassFamily(a2=0, a4=0, a6=NU**5), "II*"),
+]
+
+SINGULAR = [
+    WeierstrassFamily(a2=0, a4=0, a6=0),
+    WeierstrassFamily(a2=NU, a4=0, a6=0),  # x^2 (x + nu)
+    WeierstrassFamily(a2=0, a4=-3 * NU**2, a6=2 * NU**3),  # (x - nu)^2 (x + 2 nu)
+]
+
+
+class TestOnePassClassify:
+    @pytest.mark.parametrize("model", [family.e1_model, family.e2_model])
+    def test_paper_models_match_the_reference(self, model):
+        assert _table(classify(model())) == _table(reference_classify(model()))
+
+    def test_random_families_match_the_reference(self):
+        symbols, errors = set(), 0
+        for w in random_families(20261019, 100):
+            got, expected = _outcome(classify, w), _outcome(reference_classify, w)
+            if isinstance(expected, list):
+                assert _table(got) == _table(expected), w
+                symbols.update(f.symbol for f in got)
+            else:
+                assert got == expected, w
+                errors += 1
+        assert {"I0*", "II", "III", "IV"} <= symbols and errors  # additive and singular cases
+
+    @pytest.mark.parametrize("w, symbol", ADDITIVE, ids=[s for _, s in ADDITIVE])
+    def test_additive_types_match_the_reference(self, w, symbol):
+        fibers = classify(w)
+        assert _table(fibers) == _table(reference_classify(w))
+        assert [f.symbol for f in fibers if f.place == Place.at(0)] == [symbol]
+
+    @pytest.mark.parametrize("w", SINGULAR)
+    def test_identically_singular_families_raise_the_same_error(self, w):
+        assert _outcome(classify, w) == _outcome(reference_classify, w)
+        assert _outcome(classify, w)[0] is ClassificationError
+
+    def test_fiber_at_a_pole_of_c4_where_delta_is_a_unit(self):
+        # e1 at nu^3 (I12 at 0) scaled by u = 1/nu: Delta has order 0 at nu = 0,
+        # so only the factor c4.den of the product brings that place in
+        w = WeierstrassFamily(a2=-(NU**6 + 1) / NU**2, a4=NU**2, a6=0)
+        c4, _, delta = c_invariants(w)
+        assert (order_at(delta, Place.at(0)), order_at(c4, Place.at(0))) == (0, -4)
+        fibers = classify(w)
+        assert _table(fibers) == _table(reference_classify(w))
+        assert [f.symbol for f in fibers if f.place == Place.at(0)] == ["I12"]
+
+    def test_order_is_degree_then_coefficients_then_infinity(self):
+        # the twist adds I0* at nu = -2, a zero of Delta's denominator, and at
+        # the degree-2 place nu^2 + 1, a zero of its numerator
+        w = twist(family.e1_model(), (NU**2 + 1) / (NU + 2))
+        fibers = classify(w)
+        assert [f.place for f in fibers] == [
+            Place.at(1),
+            Place.at(0),
+            Place.at(-1),
+            Place.at(-2),
+            Place.finite(Polynomial((1, 0, 1))),
+            Place.at_infinity(),
+        ]
+        assert [f.symbol for f in fibers] == ["I2", "I4", "I2", "I0*", "I0*", "I4*"]
+
+    def test_e2_factors_once_and_composes_never(self, monkeypatch):
+        calls = {"factor_list": 0, "compose": 0}
+        factor_list = sympy.Poly.factor_list
+
+        def counted_factor_list(self, *args, **kwargs):
+            calls["factor_list"] += 1
+            return factor_list(self, *args, **kwargs)
+
+        def counted_compose(*args):
+            calls["compose"] += 1
+            return compose(*args)
+
+        w = family.e2_model()
+        monkeypatch.setattr(sympy.Poly, "factor_list", counted_factor_list)
+        monkeypatch.setattr(kodaira, "compose", counted_compose)
+        classify(w)
+        assert calls == {"factor_list": 1, "compose": 0}
+
+    def test_j_function_agrees_with_the_c_invariants(self):
+        for w in random_families(7, 8):
+            c4, c6, delta = c_invariants(w)
+            assert 1728 * delta == c4**3 - c6**2
+            if delta.is_zero:
+                with pytest.raises(ClassificationError):
+                    j_function(w)
+            else:
+                assert j_function(w) == c4**3 / (1728 * delta)
