@@ -1,12 +1,14 @@
 """Branched covers of the projective line as permutation monodromy data.
 
 A cover of degree d over the three-marked base (lambda = 1/256, infinity, 0,
-plus anonymous extra branch points) is a list of permutations in S_d, one per
-mark, with identity product and (when connected) transitive action.  A
-HurwitzCover is well formed by construction: its constructor refuses
-anything else, so `validate` is left with connectivity alone.  The
-product convention everywhere: the first-listed mark's permutation acts
-first, so with marks (quarter256, infinity, zero, extras...) the relation is
+plus anonymous extra branch points) is a permutation in S_d for each mark,
+with identity product and (when connected) transitive action.  A
+HurwitzCover holds them in four slots, `quarter256`, `infinity`, `zero` and
+the tuple `extras`; the slot names are the mark names.  It is well formed
+by construction: its constructor refuses anything else, so `validate` is
+left with connectivity alone.  The product convention everywhere: the
+first-listed mark's permutation acts first, so with marks (quarter256,
+infinity, zero, extras...) the relation is
 
     sigma_extras o sigma_zero o sigma_infinity o sigma_quarter256 = identity,
 
@@ -38,10 +40,7 @@ from .permutations import (
     orbits,
 )
 
-MARK_QUARTER256 = "quarter256"
-MARK_INFINITY = "infinity"
-MARK_ZERO = "zero"
-SPECIAL_MARKS = (MARK_QUARTER256, MARK_INFINITY, MARK_ZERO)
+SPECIAL_MARKS = ("quarter256", "infinity", "zero")
 
 
 class HurwitzError(ValueError):
@@ -56,67 +55,42 @@ class InvalidCoverError(HurwitzError):
 class HurwitzCover:
     """Monodromy tuple of a branched cover of the marked line, connected or not.
 
-    Well formed by construction, or HurwitzError: positive degree, one
-    permutation of that degree per mark, special marks first and unique
-    marks, identity product.
+    One slot per mark: the permutations over 1/256, infinity and 0 (an
+    omitted one is the identity) and those over the extra branch points.
+    Well formed by construction, or HurwitzError: positive degree, every
+    permutation of that degree, identity product.  `permutations` and
+    `marks` list the slots in product order, the extras named extra1,
+    extra2, ...; a special mark's name is its slot's name.
     """
 
     degree: int
-    marks: tuple[str, ...]
-    permutations: tuple[Permutation, ...]
+    quarter256: Permutation | None = None
+    infinity: Permutation | None = None
+    zero: Permutation | None = None
+    extras: tuple[Permutation, ...] = ()
 
     def __post_init__(self):
         if self.degree < 1:
             raise HurwitzError(f"degree must be positive, got {self.degree}")
-        if len(self.marks) != len(self.permutations):
-            raise HurwitzError("marks and permutations differ in length")
-        if self.marks[:3] != SPECIAL_MARKS:
-            raise HurwitzError(f"first marks must be {SPECIAL_MARKS}, got {self.marks[:3]}")
-        if len(set(self.marks)) != len(self.marks):
-            raise HurwitzError("duplicate mark names")
+        for mark in SPECIAL_MARKS:
+            if getattr(self, mark) is None:
+                object.__setattr__(self, mark, Permutation.identity(self.degree))
         for mark, perm in zip(self.marks, self.permutations):
             if perm.degree != self.degree:
                 raise HurwitzError(
                     f"permutation at {mark} acts on {perm.degree} points, cover degree is {self.degree}"
                 )
-        prod = self.product()
+        prod = compose_all(self.permutations, self.degree)
         if not prod.is_identity:
             raise HurwitzError(f"monodromy product is {prod.cycle_string()}, not the identity")
 
-    @staticmethod
-    def make(
-        degree: int,
-        quarter256: Permutation | None = None,
-        infinity: Permutation | None = None,
-        zero: Permutation | None = None,
-        extras: tuple[Permutation, ...] = (),
-    ) -> "HurwitzCover":
-        ident = Permutation.identity(degree)
-        perms = [quarter256 or ident, infinity or ident, zero or ident, *extras]
-        marks = list(SPECIAL_MARKS) + [f"extra{i + 1}" for i in range(len(extras))]
-        return HurwitzCover(degree=degree, marks=tuple(marks), permutations=tuple(perms))
-
-    def permutation_at(self, mark: str) -> Permutation:
-        try:
-            return self.permutations[self.marks.index(mark)]
-        except ValueError:
-            return Permutation.identity(self.degree)
+    @property
+    def permutations(self) -> tuple[Permutation, ...]:
+        return (self.quarter256, self.infinity, self.zero, *self.extras)
 
     @property
-    def extras(self) -> tuple[Permutation, ...]:
-        return self.permutations[3:]
-
-    def product(self) -> Permutation:
-        """Composite with the first-listed mark acting first."""
-        return compose_all(self.permutations, self.degree)
-
-    def profile(self, mark: str) -> tuple[int, ...]:
-        return self.permutation_at(mark).cycle_type()
-
-    def extra_ramification(self) -> int:
-        return sum(
-            sum(length - 1 for length in p.cycle_type()) for p in self.extras
-        )
+    def marks(self) -> tuple[str, ...]:
+        return SPECIAL_MARKS + tuple(f"extra{i}" for i in range(1, len(self.extras) + 1))
 
 
 def validate(cover: HurwitzCover) -> list[str]:
@@ -131,11 +105,7 @@ def genus(cover: HurwitzCover) -> int:
     problems = validate(cover)
     if problems:
         raise HurwitzError("; ".join(problems))
-    ram = sum(
-        sum(length - 1 for length in perm.cycle_type())
-        for perm in cover.permutations
-    )
-    two_g = ram - 2 * cover.degree + 2
+    two_g = branch_data_of(cover).total_ramification() - 2 * cover.degree + 2
     if two_g % 2:
         raise HurwitzError("Riemann-Hurwitz parity violated")  # impossible with id product
     g = two_g // 2
@@ -216,10 +186,10 @@ def partitions(n: int):
 def branch_data_of(cover: HurwitzCover) -> BranchData:
     return BranchData(
         n=cover.degree,
-        x=cover.profile(MARK_ZERO),
-        y=cover.profile(MARK_INFINITY),
-        z=cover.profile(MARK_QUARTER256),
-        r=cover.extra_ramification(),
+        x=cover.zero.cycle_type(),
+        y=cover.infinity.cycle_type(),
+        z=cover.quarter256.cycle_type(),
+        r=sum(length - 1 for perm in cover.extras for length in perm.cycle_type()),
     )
 
 
@@ -268,9 +238,8 @@ def pullback(base_cover: HurwitzCover, g: HurwitzCover) -> list[ComponentReport]
                 images[pair_index(i, j) - 1] = pair_index(pa(i), pb(j))
         return Permutation(images)
 
-    generators = {  # the special marks come first in every cover
-        mark: pair_perm(pa, pb)
-        for mark, pa, pb in zip(SPECIAL_MARKS, base_cover.permutations, g.permutations)
+    generators = {
+        mark: pair_perm(getattr(base_cover, mark), getattr(g, mark)) for mark in SPECIAL_MARKS
     }
     for mark, pa in zip(base_cover.marks[3:], base_cover.extras):
         generators[f"a:{mark}"] = pair_perm(pa, Permutation.identity(n))
@@ -310,8 +279,8 @@ def c2_components() -> tuple[HurwitzCover, HurwitzCover, HurwitzCover]:
     is the unique such tuple up to simultaneous conjugation.
     """
     swap = Permutation.from_cycles(2, [(1, 2)])
-    double = HurwitzCover.make(2, infinity=swap, zero=swap)
-    quadruple = HurwitzCover.make(
+    double = HurwitzCover(2, infinity=swap, zero=swap)
+    quadruple = HurwitzCover(
         4,
         quarter256=Permutation.from_cycles(4, [(1, 3)]),
         infinity=Permutation.from_cycles(4, [(1, 4, 3, 2)]),
@@ -341,7 +310,7 @@ def regular_deck_cover() -> HurwitzCover:
         return Permutation(images)
 
     ginf = REFERENCE_TABLE["zero"].inverse() * REFERENCE_TABLE["quarter256"].inverse()
-    return HurwitzCover.make(
+    return HurwitzCover(
         8,
         quarter256=left_mult(REFERENCE_TABLE["quarter256"]),
         infinity=left_mult(ginf),
@@ -460,7 +429,8 @@ def search_tuples(
     With r >= 1 no candidate is tested one by one: for each prefix of r - 1
     extras and each class element the cycles of one permutation w are walked
     once, and the last transpositions that give type x are read off them
-    (`_surgery_hits`).  With r = 0 each class element is tested directly.
+    (`_surgery_hits`).  With r = 0 each class element is tested directly,
+    by the same cycle walk (`_direct_hits`).
 
     Repeats are recognised without `canonical_key`: two candidates are
     simultaneously conjugate exactly when an element of the centralizer of
@@ -518,7 +488,7 @@ def search_tuples(
             )
             seen.add((moved, tuple(conjugate)))
         found.append(
-            HurwitzCover.make(n, quarter256=sigma_c, infinity=sigma_inf, zero=sigma_0, extras=extras)
+            HurwitzCover(n, quarter256=sigma_c, infinity=sigma_inf, zero=sigma_0, extras=extras)
         )
         if len(found) >= limit:
             return SearchResult(covers=tuple(found), truncated=True)
@@ -575,15 +545,14 @@ def _direct_hits(sigma_inf: Permutation, z_class, x: tuple[int, ...], budget: in
     """(index, sigma_c, v) for each candidate with no extras whose sigma_0 has type x.
 
     v = sigma_inf as the list of v(p) - 1; q = sigma_c v is conjugate to
-    sigma_0^-1, so its cycle type, one lookup per point, is that of sigma_0.
+    sigma_0^-1 and to w = v sigma_c, so sigma_0 has the cycle type of w.
     """
     v = [p - 1 for p in sigma_inf.images]
-    x_counts = [0] * (len(v) + 1)  # x_counts[k] = number of k-cycles over 0
-    for length in x:
-        x_counts[length] += 1
+    v_at = [0, *v].__getitem__  # v_at(s) = v(s) - 1 for s in 1..n
+    shape = sorted(x)
     for sigma_c in z_class[:budget]:
-        q = sigma_c.images.__getitem__
-        if _has_cycle_type([0, *map(q, v)], x_counts):
+        cycles = _cycles(list(map(v_at, sigma_c.images)))
+        if len(cycles) == len(shape) and sorted(map(len, cycles)) == shape:
             yield (), sigma_c, v
 
 
@@ -703,26 +672,3 @@ def _after(pair: tuple[int, int], v: list[int]) -> list[int]:
     out = list(v)
     out[v.index(i - 1)], out[v.index(j - 1)] = j - 1, i - 1
     return out
-
-
-def _has_cycle_type(images: list[int], counts: list[int]) -> bool:
-    """Whether the permutation has counts[k] k-cycles, given 0 and then its images of 1..n.
-
-    Uses up `images`, and stops at the first cycle the counts leave no room for.
-    """
-    counts = list(counts)
-    for start in range(1, len(images)):
-        p = images[start]
-        if not p:
-            continue
-        images[start] = 0  # zeroed once visited
-        length = 1
-        while p != start:
-            q = images[p]
-            images[p] = 0
-            p = q
-            length += 1
-        counts[length] -= 1
-        if counts[length] < 0:
-            return False
-    return True

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Polynomial, rational_root
+from .exact import Polynomial, _coerce, rational_root
 
 
 class CuspError(ValueError):
@@ -68,18 +68,14 @@ def normalize(p: ModularParams) -> tuple[Fraction, Fraction]:
     return p.a / croot, p.b * p.b / p.d
 
 
-def _scalar(v):
-    return Fraction(v) if isinstance(v, int) else v
-
-
 def sigma_pi(a, b) -> SigmaPi:
     """sigma = a^3 - b^2 + 1 and pi = a^3, for d = 1 normalized (a, b).
 
     Accepts Fractions for exact point evaluation, or any field element
     (rational functions included) for symbolic identity checks.
     """
-    a = _scalar(a)
-    b = _scalar(b)
+    a = _coerce(a)
+    b = _coerce(b)
     a3 = a * a * a
     return SigmaPi(sigma=a3 - b * b + 1, pi=a3)
 
@@ -90,8 +86,8 @@ def discriminant_delta(a, b):
     Vanishes exactly when the six fiber locations degenerate, equivalently
     when the two j-invariants coincide (it equals sigma^2 - 4 pi).
     """
-    a = _scalar(a)
-    b = _scalar(b)
+    a = _coerce(a)
+    b = _coerce(b)
     a3 = a * a * a
     return (a3 - (b - 1) * (b - 1)) * (a3 - (b + 1) * (b + 1))
 

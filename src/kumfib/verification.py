@@ -14,6 +14,7 @@ module both run exactly these checks.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from typing import Callable
 
 from . import family, hodge, hurwitz, kodaira, monodromy, mpolar
 from .exact import Place, Polynomial, RationalFunction, compose, order_at
-from .permutations import Permutation, group_closure
+from .permutations import Permutation, compose_all, group_closure
 
 _F = Fraction
 
@@ -54,14 +55,13 @@ _shared: dict[str, object] = {}
 STEP_SCALES = (64, 128, 256)
 
 
-def _tables(precision_bits: int = 128) -> dict[int, monodromy.PunctureTable]:
+def _tables() -> dict[int, monodromy.PunctureTable]:
     """Loop tables at three step scales (each halving the maximum step size,
     ending at the default), computed once and shared."""
-    key = f"tables-{precision_bits}"
+    key = "tables"
     if key not in _shared:
         _shared[key] = {
             steps: monodromy.puncture_table(
-                precision_bits=precision_bits,
                 initial_steps=steps,
                 check_infinity_directly=(steps == 256),
             )
@@ -337,11 +337,11 @@ def _check_fixed_curve_data():
     valid = all(not hurwitz.validate(c) for c in comps)
     genera = tuple(hurwitz.genus(c) for c in comps)
     quad = comps[2]
-    profiles_ok = (
-        quad.profile(hurwitz.MARK_QUARTER256) == (2, 1, 1)
-        and quad.profile(hurwitz.MARK_ZERO) == (2, 2)
-        and quad.profile(hurwitz.MARK_INFINITY) == (4,)
-    )
+    profiles_ok = {mark: getattr(quad, mark).cycle_type() for mark in hurwitz.SPECIAL_MARKS} == {
+        "quarter256": (2, 1, 1),
+        "zero": (2, 2),
+        "infinity": (4,),
+    }
     data = hurwitz.branch_data_of(quad)
     result = hurwitz.search_tuples(data, limit=8)
     unique = len(result.covers) == 1 and not result.truncated
@@ -478,13 +478,8 @@ def _check_pullback_accounting():
             images = list(range(1, degree + 1))
             rng.shuffle(images)
             perms.append(Permutation(images))
-        composite = Permutation.identity(degree)
-        for p in perms:
-            composite = p * composite
-        perms.append(composite.inverse())  # forces identity product
-        return hurwitz.HurwitzCover.make(
-            degree, quarter256=perms[0], infinity=perms[1], zero=perms[2]
-        )
+        perms.append(compose_all(perms, degree).inverse())  # forces identity product
+        return hurwitz.HurwitzCover(degree, *perms)
 
     for _ in range(100):
         d = rng.randint(2, 6)
@@ -502,10 +497,8 @@ def _check_pullback_accounting():
             if r.genus < 0:
                 return False, "nonnegative genus", f"negative genus {r}"
         # lcm structure of the pair cycles
-        for mark in (hurwitz.MARK_QUARTER256, hurwitz.MARK_INFINITY, hurwitz.MARK_ZERO):
-            import math
-
-            pa, pg = a.permutation_at(mark), g.permutation_at(mark)
+        for mark in hurwitz.SPECIAL_MARKS:
+            pa, pg = getattr(a, mark), getattr(g, mark)
             lcm_lengths = sorted(
                 (
                     math.lcm(len(ca), len(cg))

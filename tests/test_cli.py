@@ -422,6 +422,31 @@ def test_commands_other_than_verify_paper_do_not_import_sympy(tmp_path):
     assert result.stdout == "[0, 0, 0, 0, 0] False False\n"
 
 
+VERIFY_SYMPY_SCRIPT = """
+import sys
+from kumfib import cli
+loaded = ["sympy" in sys.modules]
+cli.verification.run_all = lambda keys: loaded.append("sympy" in sys.modules) or []
+print(cli.main(["verify-paper"]), loaded)
+"""
+
+
+def test_verify_paper_imports_sympy_before_the_checks():
+    # in a fresh process, so that sympy is not loaded already: the one-off
+    # import is not charged to the first check that factors
+    src = str(Path(kumfib.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", VERIFY_SYMPY_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0/0 checks passed\n0 [False, True]\n"
+
+
 # -- fuzzing `report` -------------------------------------------------------------
 
 

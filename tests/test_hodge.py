@@ -175,7 +175,7 @@ class TestPipeline:
 
     def test_disconnected_cover_refused(self):
         swap = Permutation.from_cycles(4, [(1, 2)])
-        cover = HurwitzCover.make(4, quarter256=swap, infinity=swap)
+        cover = HurwitzCover(4, quarter256=swap, infinity=swap)
         with pytest.raises(InvalidCoverError, match="^monodromy group is not transitive"):
             analyze_cover(cover)
 

@@ -13,9 +13,6 @@ from kumfib import hurwitz
 from kumfib.cli import admissible_branch_data
 from kumfib.hodge import CY_INFINITY_PROFILES
 from kumfib.hurwitz import (
-    MARK_INFINITY,
-    MARK_QUARTER256,
-    MARK_ZERO,
     MAX_SEARCH_DEGREE,
     BranchData,
     HurwitzCover,
@@ -38,29 +35,26 @@ from kumfib.hurwitz import (
 from kumfib.permutations import Permutation, is_transitive
 
 
-SPECIAL = (MARK_QUARTER256, MARK_INFINITY, MARK_ZERO)
-
-
 def perm(n, *cycles):
     return Permutation.from_cycles(n, cycles)
 
 
 class TestValidate:
     def test_double_cover_ok(self):
-        cover = HurwitzCover.make(2, infinity=perm(2, (1, 2)), zero=perm(2, (1, 2)))
+        cover = HurwitzCover(2, infinity=perm(2, (1, 2)), zero=perm(2, (1, 2)))
         assert validate(cover) == []
 
     def test_bad_product(self):
         # refused at construction: a HurwitzCover is well formed
         with pytest.raises(HurwitzError, match=re.escape("monodromy product is (1 2), not the identity")):
-            HurwitzCover.make(2, zero=perm(2, (1, 2)))
+            HurwitzCover(2, zero=perm(2, (1, 2)))
 
     def test_quadruple_component_ok(self):
         quad = c2_components()[2]
         assert validate(quad) == []
 
     def test_disconnected_flagged(self):
-        cover = HurwitzCover.make(
+        cover = HurwitzCover(
             4, infinity=perm(4, (1, 2)), zero=perm(4, (1, 2))
         )
         problems = validate(cover)
@@ -70,41 +64,37 @@ class TestValidate:
         # malformed and disconnected: refused for its structure, at construction,
         # before connectivity can be tested
         with pytest.raises(HurwitzError, match=re.escape("monodromy product is (1 2), not the identity")):
-            HurwitzCover.make(4, zero=perm(4, (1, 2)))
+            HurwitzCover(4, zero=perm(4, (1, 2)))
 
     def test_degree_mismatch(self):
         with pytest.raises(
             HurwitzError, match="permutation at quarter256 acts on 2 points, cover degree is 3"
         ):
-            HurwitzCover(
-                degree=3,
-                marks=(MARK_QUARTER256, MARK_INFINITY, MARK_ZERO),
-                permutations=(
-                    Permutation.identity(2),
-                    Permutation.identity(3),
-                    Permutation.identity(3),
-                ),
-            )
+            HurwitzCover(3, quarter256=Permutation.identity(2))
 
     @pytest.mark.parametrize(
-        "degree, marks, count, message",
-        [
-            (0, SPECIAL, 3, "degree must be positive, got 0"),
-            (2, SPECIAL[:2], 3, "marks and permutations differ in length"),
-            (2, SPECIAL[::-1], 3, "first marks must be"),
-            (2, SPECIAL + ("extra1", "extra1"), 5, "duplicate mark names"),
-        ],
-        ids=["degree", "lengths", "order", "duplicates"],
+        "degree, message", [(0, "degree must be positive, got 0")], ids=["degree"]
     )
-    def test_every_structural_check_at_construction(self, degree, marks, count, message):
-        ident = Permutation.identity(degree)
+    def test_every_structural_check_at_construction(self, degree, message):
         with pytest.raises(HurwitzError, match=message):
-            HurwitzCover(degree=degree, marks=marks, permutations=(ident,) * count)
+            HurwitzCover(degree)
+
+    def test_keyword_slots(self):
+        t = perm(3, (1, 2))
+        cover = HurwitzCover(3, extras=(t, t))
+        ident = Permutation.identity(3)
+        assert (cover.quarter256, cover.infinity, cover.zero) == (ident, ident, ident)
+        assert cover.permutations == (ident, ident, ident, t, t)
+        assert cover.marks == ("quarter256", "infinity", "zero", "extra1", "extra2")
+        swap = perm(2, (1, 2))
+        assert HurwitzCover(2, infinity=swap, zero=swap).permutations == (Permutation.identity(2), swap, swap)
+        with pytest.raises(HurwitzError, match="permutation at extra2 acts on 2 points, cover degree is 3"):
+            HurwitzCover(3, extras=(t, swap))
 
 
 class TestGenus:
     def test_two_point_double_cover(self):
-        cover = HurwitzCover.make(2, infinity=perm(2, (1, 2)), zero=perm(2, (1, 2)))
+        cover = HurwitzCover(2, infinity=perm(2, (1, 2)), zero=perm(2, (1, 2)))
         assert genus(cover) == 0
 
     def test_c2_components(self):
@@ -120,7 +110,7 @@ class TestGenus:
             perm(4, (1, 2)),
             perm(4, (1, 2)),
         )
-        cover = HurwitzCover.make(
+        cover = HurwitzCover(
             4,
             infinity=perm(4, (1, 2, 3, 4)),
             zero=perm(4, (1, 3), (2, 4)),
@@ -130,7 +120,7 @@ class TestGenus:
         assert genus(cover) == 2
 
     def test_disconnected_rejected(self):
-        cover = HurwitzCover.make(4, infinity=perm(4, (1, 2)), zero=perm(4, (1, 2)))
+        cover = HurwitzCover(4, infinity=perm(4, (1, 2)), zero=perm(4, (1, 2)))
         with pytest.raises(HurwitzError):
             genus(cover)
 
@@ -164,15 +154,15 @@ class TestPartitions:
 class TestPullback:
     def test_identity_pullback_returns_the_cover(self):
         quad = c2_components()[2]
-        identity_cover = HurwitzCover.make(1)
+        identity_cover = HurwitzCover(1)
         reports = pullback(quad, identity_cover)
         assert len(reports) == 1
         report = reports[0]
         assert report.degree == 4
         assert report.genus == genus(quad)
-        assert report.profiles[MARK_QUARTER256] == (2, 1, 1)
-        assert report.profiles[MARK_ZERO] == (2, 2)
-        assert report.profiles[MARK_INFINITY] == (4,)
+        assert report.profiles["quarter256"] == (2, 1, 1)
+        assert report.profiles["zero"] == (2, 2)
+        assert report.profiles["infinity"] == (4,)
 
     def test_regular_cover_pullback_components(self):
         cover = regular_deck_cover()
@@ -187,11 +177,11 @@ class TestPullback:
     def test_relabeling_invariance(self):
         quad = c2_components()[2]
         rho = perm(4, (1, 2, 3))
-        conjugated = HurwitzCover.make(
+        conjugated = HurwitzCover(
             4,
-            quarter256=quad.permutation_at(MARK_QUARTER256).conjugate_by(rho),
-            infinity=quad.permutation_at(MARK_INFINITY).conjugate_by(rho),
-            zero=quad.permutation_at(MARK_ZERO).conjugate_by(rho),
+            quarter256=quad.quarter256.conjugate_by(rho),
+            infinity=quad.infinity.conjugate_by(rho),
+            zero=quad.zero.conjugate_by(rho),
         )
         g = regular_deck_cover()
         original = [(r.degree, sorted(r.profiles.items()), r.genus) for r in pullback(quad, g)]
@@ -210,14 +200,14 @@ class TestPullback:
                     rng.shuffle(images)
                     ps.append(Permutation(images))
                 closing = (ps[1] * ps[0]).inverse()
-                return HurwitzCover.make(k, quarter256=ps[0], infinity=ps[1], zero=closing)
+                return HurwitzCover(k, quarter256=ps[0], infinity=ps[1], zero=closing)
 
             a, g = rand_cover(d), rand_cover(n)
             reports = pullback(a, g)
             assert sum(r.degree for r in reports) == d * n
-            for mark in (MARK_QUARTER256, MARK_INFINITY, MARK_ZERO):
-                pa = a.permutation_at(mark)
-                pg = g.permutation_at(mark)
+            for mark in ("quarter256", "infinity", "zero"):
+                pa = getattr(a, mark)
+                pg = getattr(g, mark)
                 expected = sorted(
                     (
                         math.lcm(len(ca), len(cg))
@@ -235,13 +225,13 @@ class TestPullback:
     def test_disconnected_cover_accepted(self):
         # pullback needs covers, not connected ones: two sheets, two components
         quad = c2_components()[2]
-        reports = pullback(quad, HurwitzCover.make(2))
+        reports = pullback(quad, HurwitzCover(2))
         assert [r.degree for r in reports] == [4, 4]
 
     def test_bad_product_rejected(self):
         # the malformed g never reaches pullback: its construction fails
         with pytest.raises(HurwitzError, match=re.escape("monodromy product is (1 2), not the identity")):
-            HurwitzCover.make(2, zero=perm(2, (1, 2)))
+            HurwitzCover(2, zero=perm(2, (1, 2)))
 
     def test_mark_merge_with_extras(self):
         data = BranchData(n=5, x=(5,), y=(4, 1), z=(1, 1, 1, 1, 1), r=1)
@@ -250,7 +240,7 @@ class TestPullback:
         assert len(reports) == 1
         assert reports[0].degree == 10
         assert reports[0].genus == 0
-        assert list(reports[0].profiles) == [MARK_QUARTER256, MARK_INFINITY, MARK_ZERO, "b:extra1"]
+        assert list(reports[0].profiles) == ["quarter256", "infinity", "zero", "b:extra1"]
 
 
 class TestC2Components:
@@ -264,13 +254,13 @@ class TestC2Components:
 
     def test_profiles(self):
         quad = c2_components()[2]
-        assert quad.profile(MARK_QUARTER256) == (2, 1, 1)
-        assert quad.profile(MARK_ZERO) == (2, 2)
-        assert quad.profile(MARK_INFINITY) == (4,)
+        assert quad.quarter256.cycle_type() == (2, 1, 1)
+        assert quad.zero.cycle_type() == (2, 2)
+        assert quad.infinity.cycle_type() == (4,)
         double = c2_components()[0]
-        assert double.profile(MARK_ZERO) == (2,)
-        assert double.profile(MARK_INFINITY) == (2,)
-        assert double.profile(MARK_QUARTER256) == (1, 1)
+        assert double.zero.cycle_type() == (2,)
+        assert double.infinity.cycle_type() == (2,)
+        assert double.quarter256.cycle_type() == (1, 1)
 
 
 class TestSearchTuples:
@@ -348,7 +338,7 @@ def reference_search(b, limit, max_candidates):
             continue
         key = canonical_key(n, perms)
         if key not in found:
-            found[key] = HurwitzCover.make(
+            found[key] = HurwitzCover(
                 n, quarter256=sigma_c, infinity=sigma_inf, zero=sigma_0, extras=extras
             )
             if len(found) >= limit:

@@ -200,6 +200,31 @@ class TestOneStep:
         assert "loop around infinity    (1 5 2 6)(3 4)" in out
 
 
+class TestBigCircleCheck:
+    """The infinity loop is also tracked along |lambda| = 8, and a loop that
+    disagrees with the product relation is a failure, not a table."""
+
+    @pytest.fixture
+    def disagreeing_infinity(self, monkeypatch):
+        # the finite loops of the table, and an infinity loop that stays put
+        loops = {F(0): "(1 6)(2 5)(3 4)", F(1, 256): "(1 2)", monodromy.INFINITY: "id"}
+
+        def track(spec, precision_bits=128):
+            return Permutation.from_cycle_string(6, loops[spec.center])
+
+        monkeypatch.setattr(monodromy, "track_loop", track)
+
+    def test_disagreement_raises(self, disagreeing_infinity):
+        with pytest.raises(monodromy.MonodromyError, match=r"big-circle check failed: id vs \(1 5 2 6\)\(3 4\)"):
+            monodromy.puncture_table(initial_steps=8)
+
+    def test_cli_exits_1(self, disagreeing_infinity, capsys):
+        code = cli.main(["monodromy", "--steps", "8"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("monodromy failed: big-circle check failed: id vs ")
+
+
 class TestDeckParity:
     def test_within_triple_odd(self):
         result = deck_parity(Permutation.from_cycles(6, [(4, 5)]))
