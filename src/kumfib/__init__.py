@@ -13,7 +13,6 @@ from .exact import (
     Place,
     PoleError,
     Polynomial,
-    Rational,
     RationalFunction,
     compose,
     divisor_of,

@@ -65,7 +65,6 @@ class DocumentError(ValueError):
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
-        self.path = path
 
 
 # -- document parsing ------------------------------------------------------------
@@ -260,16 +259,15 @@ def render_report_text(r: hodge.CYReport) -> str:
     return "\n".join(lines)
 
 
-def _emit(reports: list[hodge.CYReport], fmt: str, out=None) -> None:
-    out = out or sys.stdout
+def _emit(reports: list[hodge.CYReport], fmt: str) -> None:
     if fmt in ("text", "both"):
         for i, r in enumerate(reports):
             if len(reports) > 1:
-                out.write(f"--- outcome {i + 1} of {len(reports)} ---\n")
-            out.write(render_report_text(r) + "\n")
+                sys.stdout.write(f"--- outcome {i + 1} of {len(reports)} ---\n")
+            sys.stdout.write(render_report_text(r) + "\n")
     if fmt in ("jsonl", "both"):
         for r in reports:
-            out.write(json.dumps(report_record(r), separators=(", ", ": ")) + "\n")
+            sys.stdout.write(json.dumps(report_record(r), separators=(", ", ": ")) + "\n")
 
 
 # -- subcommands ------------------------------------------------------------------

@@ -7,8 +7,8 @@ Representation:
   RationalFunction numerator/denominator pair of Polynomials, always reduced
                    to coprime form with a monic denominator, so structural
                    equality is mathematical equality.
-  Place            a closed point of the projective line over Q: either a
-                   monic irreducible polynomial (finite) or the point at
+  Place            a closed point of the projective line over Q, held as its
+                   monic irreducible polynomial, or None for the point at
                    infinity.  Galois-conjugate complex points share one Place.
 
 Coefficients live in any field implementing +, -, *, /, ==, bool.  Plain ints
@@ -24,12 +24,9 @@ everything else, rational_root included, is standard library.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-# Exact rational scalar used throughout the package: always in lowest terms
-# with positive denominator, as required.
-Rational = Fraction
 
 
 class ExactAlgebraError(ValueError):
@@ -432,35 +429,30 @@ def compose(outer: RationalFunction, inner: RationalFunction) -> RationalFunctio
     return RationalFunction(form(outer.num), den)
 
 
+@dataclass(frozen=True)
 class Place:
-    """A closed point of the projective line over Q.
+    """A closed point of the projective line over Q: its minimal polynomial.
 
-    The constructor trusts that a finite place's polynomial is irreducible;
-    Place.finite checks it.
+    minimal_polynomial is the monic irreducible polynomial whose roots the
+    place collects (a nonconstant one is normalised to monic), or None for
+    the point at infinity.  The constructor trusts irreducibility;
+    Place.finite checks it.  Places are values: equal polynomials give
+    equal, equally hashed places.
     """
 
-    __slots__ = ("kind", "minimal_polynomial")
+    minimal_polynomial: Polynomial | None = None
 
-    FINITE = "finite"
-    INFINITY = "infinity"
-
-    def __init__(self, kind: str, minimal_polynomial: Polynomial | None = None):
-        if kind == Place.FINITE:
-            if minimal_polynomial is None or minimal_polynomial.degree < 1:
+    def __post_init__(self):
+        poly = self.minimal_polynomial
+        if poly is not None:
+            if poly.degree < 1:
                 raise ExactAlgebraError("finite place needs a nonconstant polynomial")
-            minimal_polynomial = minimal_polynomial.monic()
-        elif kind == Place.INFINITY:
-            if minimal_polynomial is not None:
-                raise ExactAlgebraError("the place at infinity has no polynomial")
-        else:
-            raise ExactAlgebraError(f"unknown place kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "minimal_polynomial", minimal_polynomial)
+            object.__setattr__(self, "minimal_polynomial", poly.monic())
 
     @staticmethod
     def finite(poly: Polynomial) -> "Place":
         """The place of an irreducible polynomial; a reducible one is refused."""
-        place = Place(Place.FINITE, poly)
+        place = Place(poly)
         if not _is_irreducible(place.minimal_polynomial):
             raise ExactAlgebraError(
                 f"minimal polynomial {place.minimal_polynomial!r} is reducible over Q"
@@ -470,27 +462,19 @@ class Place:
     @staticmethod
     def at(value) -> "Place":
         """The rational point x = value."""
-        return Place(Place.FINITE, Polynomial((-Fraction(value), 1)))
+        return Place(Polynomial((-Fraction(value), 1)))
 
     @staticmethod
     def at_infinity() -> "Place":
-        return Place(Place.INFINITY)
+        return Place()
 
     @property
     def is_infinity(self) -> bool:
-        return self.kind == Place.INFINITY
+        return self.minimal_polynomial is None
 
     @property
     def degree(self) -> int:
         return 1 if self.is_infinity else self.minimal_polynomial.degree
-
-    def __eq__(self, other):
-        if not isinstance(other, Place):
-            return NotImplemented
-        return self.kind == other.kind and self.minimal_polynomial == other.minimal_polynomial
-
-    def __hash__(self):
-        return hash((self.kind, self.minimal_polynomial))
 
     def __repr__(self):
         if self.is_infinity:
@@ -565,7 +549,7 @@ def irreducible_factors(p: Polynomial) -> list[tuple[Place, int]]:
     _, factors = _to_sympy(p).factor_list()
     out = []
     for f, mult in factors:
-        out.append((Place(Place.FINITE, _from_sympy(f)), int(mult)))  # irreducible already
+        out.append((Place(_from_sympy(f)), int(mult)))  # irreducible already
     out.sort(key=lambda pm: (pm[0].minimal_polynomial.degree, pm[0].minimal_polynomial.coeffs))
     return out
 

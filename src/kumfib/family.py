@@ -163,12 +163,12 @@ def deck_element(i: int, j: int) -> DeckElement:
     """The element alpha^i beta^j, i mod 4 and j mod 2."""
     i %= 4
     j %= 2
-    base = RationalFunction.of((0, 1))
+    base, perm = RationalFunction.of((0, 1)), Permutation.identity(6)
     if j:
-        base = BETA_BASE
+        base, perm = BETA_BASE, BETA_LABELS
     for _ in range(i):
         base = compose(ALPHA_BASE, base)
-    perm = (ALPHA_LABELS**i) * (BETA_LABELS**j)
+        perm = ALPHA_LABELS * perm
     return DeckElement(i=i, j=j, base_map=base, label_perm=perm)
 
 

@@ -146,7 +146,7 @@ def h11(b: BranchData, s: int) -> int:
         raise UnsupportedError(
             f"no divisor-class table for infinity profile {b.y}"
         ) from None
-    vertical = sum(x * x if x % 2 else x * x + 1 for x in b.x)
+    vertical = sum(components_over_zero(x) - 1 for x in b.x)
     return 12 + vertical + s + c1 + c2
 
 
@@ -203,36 +203,20 @@ def reference_constants() -> ReferenceConstants:
 # -- the full pipeline ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FixedCurveSummary:
-    """Decomposition of the pulled-back fixed curve for one cover tuple."""
+def fixed_curve(g: HurwitzCover) -> tuple[int, ...]:
+    """The sorted component genera of the fixed curve pulled back along g.
 
-    s: int
-    genera: tuple[int, ...]
-    p_g: int
-    component_degrees: tuple[int, ...]
-
-
-def fixed_curve(g: HurwitzCover) -> FixedCurveSummary:
-    """Pull the three fixed-curve components (built once) back along g and summarize.
-
-    The two double covers are one cover, so it is pulled back once and counted twice.
+    s is their number and p_g their sum.  The three fixed-curve components
+    are built once; the two double covers are one cover, so it is pulled
+    back once and counted twice.
     """
     genera = []
-    degrees = []
     pulled: dict[HurwitzCover, list] = {}
     for component in c2_components():
         if component not in pulled:
             pulled[component] = pullback(component, g)
-        for report in pulled[component]:
-            genera.append(report.genus)
-            degrees.append(report.degree)
-    return FixedCurveSummary(
-        s=len(genera),
-        genera=tuple(sorted(genera)),
-        p_g=sum(genera),
-        component_degrees=tuple(sorted(degrees)),
-    )
+        genera.extend(report.genus for report in pulled[component])
+    return tuple(sorted(genera))
 
 
 @dataclass(frozen=True)
@@ -259,28 +243,23 @@ class CYReport:
         """The report fields the branch data alone determines, plus fields."""
         return cls(b, cy_condition(b), smoothness(b), fiber_inventory(b), **fields)
 
-    def consistent(self) -> bool:
-        if self.h11 is None or self.h21 is None or self.euler is None:
-            return True
-        return self.euler == 2 * (self.h11 - self.h21)
-
 
 _NOT_CY = "canonical sheaf is not trivial for this data"
 
 
-def _report_for_tuple(b: BranchData, summary: FixedCurveSummary) -> CYReport:
-    base = CYReport.for_branch(b, s=summary.s, p_g=summary.p_g, genera=summary.genera)
+def _report_for_tuple(b: BranchData, genera: tuple[int, ...]) -> CYReport:
+    s, p_g = len(genera), sum(genera)
+    base = CYReport.for_branch(b, s=s, p_g=p_g, genera=genera)
     if not base.cy:
         return replace(base, unsupported=_NOT_CY)
     try:
-        c_pair = tuple(C_BY_Y[y] for y in b.y) if b.l == 2 else None
-        h11_value = h11(b, summary.s)
-        h21_value = h21(b, summary.p_g)
+        h11_value = h11(b, s)
+        h21_value = h21(b, p_g)
     except UnsupportedError as exc:
         return replace(base, unsupported=str(exc))
     return replace(
         base,
-        c=c_pair,
+        c=tuple(C_BY_Y[y] for y in b.y),
         h11=h11_value,
         h21=h21_value,
         euler=2 * (h11_value - h21_value),
@@ -321,10 +300,10 @@ def analyze_branch_data(
     result: SearchResult = search_tuples(b, limit=limit, max_candidates=max_candidates)
     outcomes: dict[tuple[int, int], CYReport] = {}
     for cover in result.covers:
-        summary = fixed_curve(cover)
-        key = (summary.s, summary.p_g)
+        genera = fixed_curve(cover)
+        key = (len(genera), sum(genera))
         if key not in outcomes:
-            outcomes[key] = _report_for_tuple(b, summary)
+            outcomes[key] = _report_for_tuple(b, genera)
     reports = list(outcomes.values())
     if not reports:
         note = (

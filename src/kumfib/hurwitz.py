@@ -515,11 +515,9 @@ def _centralizer(n: int, cycle_type: tuple[int, ...]) -> tuple[tuple[int, ...], 
     to a cycle of the same length, rotated by any amount, so there are
     prod l^m_l m_l! of them for m_l cycles of length l.
     """
-    cycles_by_length: dict[int, list[range]] = {}
-    start = 1
-    for length in sorted(cycle_type, reverse=True):
-        cycles_by_length.setdefault(length, []).append(range(start, start + length))
-        start += length
+    cycles_by_length: dict[int, list[tuple[int, ...]]] = {}
+    for cycle in _canonical_representative(n, cycle_type).cycles(include_fixed=True):
+        cycles_by_length.setdefault(len(cycle), []).append(cycle)
     moves_by_length = []  # for each length, every map of its points that commutes
     for length, cycles in cycles_by_length.items():
         moves = []

@@ -102,21 +102,6 @@ class LoopSpec:
         return min(abs(p - self.center) for p in others) / 2
 
 
-@dataclass(frozen=True)
-class TrackedRoots:
-    """The labeled base configuration of the six roots.
-
-    xi_roots are in the tracking coordinate; x_roots = xi/sqrt(lambda) in the
-    original coordinate.  Labels 1..3 carry the C = +lambda^{3/2} triple,
-    4..6 the opposite one; each triple is sorted by (Re, Im) of its x-root.
-    """
-
-    lam: Fraction
-    xi_roots: tuple
-    x_roots: tuple
-    triple_of: tuple  # entry i is 1 or 2 for label i+1
-
-
 # -- the defining polynomial ----------------------------------------------------
 
 #: Newton's stopping rule, relative to |xi|: 10 bits short of double precision.
@@ -170,11 +155,15 @@ def _newton(xi, lam, a, b):
     raise MonodromyError("Newton corrector failed to converge")
 
 
-_BASE_CACHE: dict[int, TrackedRoots] = {}
+_BASE_CACHE: dict[int, tuple[complex, ...]] = {}
 
 
-def base_configuration(precision_bits: int = 128) -> TrackedRoots:
-    """Solve for and label the six roots at BASE_POINT (cached).
+def base_configuration(precision_bits: int = 128) -> tuple[complex, ...]:
+    """The six xi-roots at BASE_POINT in label order (cached per precision).
+
+    Entry i is the root labeled i + 1.  Labels 1..3 are the roots with
+    C = +lambda^{3/2} (the "P - 1" triple), labels 4..6 the others, each
+    triple sorted by (Re, Im) of x = xi/sqrt(lambda).
 
     mpmath's polyroots solves S(xi, BASE_POINT) = 0 at precision_bits; each
     root is then polished by Newton's method in double precision, the
@@ -221,16 +210,8 @@ def base_configuration(precision_bits: int = 128) -> TrackedRoots:
 
     plus.sort(key=sort_key)
     minus.sort(key=sort_key)
-    xi_roots = tuple(plus + minus)
-    x_roots = tuple(xi / sqrt_lam for xi in xi_roots)
-    cfg = TrackedRoots(
-        lam=BASE_POINT,
-        xi_roots=xi_roots,
-        x_roots=x_roots,
-        triple_of=(1, 1, 1, 2, 2, 2),
-    )
-    _BASE_CACHE[precision_bits] = cfg
-    return cfg
+    _BASE_CACHE[precision_bits] = tuple(plus + minus)
+    return _BASE_CACHE[precision_bits]
 
 
 # -- path construction --------------------------------------------------------
@@ -259,17 +240,11 @@ def _loop_pieces(spec: LoopSpec):
     base = float(BASE_POINT)
     pi = math.pi
     r = float(spec.resolved_radius())
-    if spec.center == INFINITY:
-        out = [_segment(base, -r)]
-        circle = [_arc(0, r, pi, -pi)]  # clockwise: counterclockwise around infinity
-        back = [_segment(-r, base)]
-        return out + circle + back
+    if spec.center in (0, INFINITY):
+        # Around infinity the circle runs clockwise: counterclockwise seen from infinity.
+        end = -pi if spec.center == INFINITY else 3 * pi
+        return [_segment(base, -r), _arc(0, r, pi, end), _segment(-r, base)]
     c = float(spec.center)
-    if c == 0:
-        out = [_segment(base, -r)]
-        circle = [_arc(0, r, pi, 3 * pi)]
-        back = [_segment(-r, base)]
-        return out + circle + back
     # Loop around 1/256: detour over 0 through the upper half-plane.
     d = 1 / 512
     out = [
@@ -362,9 +337,8 @@ def _track_pieces(pieces, roots, initial_steps, safety_radius):
     return roots
 
 
-def _match(final, base_cfg: TrackedRoots) -> Permutation:
+def _match(final, base_roots) -> Permutation:
     """The permutation taking each final root to its unique nearest base root."""
-    base_roots = base_cfg.xi_roots
     scale = max(1, max(abs(x) for x in base_roots))
     closure_tol = min(CLOSURE_TOL * scale, _min_pairwise(base_roots) / 3)
     images = [0] * 6
@@ -388,15 +362,15 @@ def track_loop(spec: LoopSpec, precision_bits: int = 128) -> Permutation:
     The loop is tracked in double precision from the base configuration
     solved at precision_bits.  Deterministic for a fixed spec and precision.
     """
-    cfg = base_configuration(precision_bits)
+    base_roots = base_configuration(precision_bits)
     # Legitimate loops here never push the six roots closer than a few
     # thousandths of the base scale; anything below this is a shrinking
     # pair headed for a degeneracy (radius too large, or a path through
     # a puncture).
-    safety = 1e-4 * max(abs(x) for x in cfg.xi_roots)
+    safety = 1e-4 * max(abs(x) for x in base_roots)
     pieces = _loop_pieces(spec)
-    final = _track_pieces(pieces, cfg.xi_roots, spec.initial_steps, safety)
-    return _match(final, cfg)
+    final = _track_pieces(pieces, base_roots, spec.initial_steps, safety)
+    return _match(final, base_roots)
 
 
 @dataclass(frozen=True)

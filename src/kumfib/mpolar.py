@@ -143,9 +143,6 @@ class QuadraticSurd:
             raise ValueError(f"{self} is irrational")
         return self.rational_part
 
-    def conjugate(self) -> "QuadraticSurd":
-        return QuadraticSurd(self.rational_part, -self.radical_coeff, self.radicand)
-
     def __add__(self, other: "QuadraticSurd") -> "QuadraticSurd":
         if self.radicand != other.radicand and not (self.is_rational or other.is_rational):
             raise ValueError("cannot add surds over different radicands")

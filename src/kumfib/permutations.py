@@ -9,7 +9,6 @@ whitespace- and comma-insensitive.
 from __future__ import annotations
 
 import re
-from math import lcm
 
 
 class PermutationError(ValueError):
@@ -83,18 +82,6 @@ class Permutation:
             raise PermutationError("degree mismatch in composition")
         return Permutation(tuple(self.images[j - 1] for j in other.images))
 
-    def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Permutation.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for i, j in enumerate(self.images, start=1):
@@ -130,15 +117,9 @@ class Permutation:
         lengths = [len(c) for c in self.cycles(include_fixed=True)]
         return tuple(sorted(lengths, reverse=True))
 
-    def order(self) -> int:
-        return lcm(*(self.cycle_type() or (1,)))
-
-    def sign(self) -> int:
-        return -1 if sum(length - 1 for length in self.cycle_type()) % 2 else 1
-
     @property
     def is_odd(self) -> bool:
-        return self.sign() == -1
+        return sum(length - 1 for length in self.cycle_type()) % 2 == 1
 
     def conjugate_by(self, rho: "Permutation") -> "Permutation":
         """rho * self * rho^{-1}."""

@@ -246,6 +246,17 @@ class TestPlacesAndOrders:
         with pytest.raises(ExactAlgebraError):
             Place.finite(Polynomial((-1, 0, 1)))  # x^2 - 1 splits
 
+    def test_place_is_its_polynomial(self):
+        assert Place.at(0) == Place(Polynomial((0, 2)))  # normalised to monic x
+        assert Place.at_infinity() == Place()
+        assert Place.at_infinity().is_infinity and Place().degree == 1
+        same, monic = Place(Polynomial((2, 0, 2))), Place.finite(Polynomial((1, 0, 1)))
+        assert same == monic and hash(same) == hash(monic)
+        assert {Place.at(1): "I2", Place(): "I4"}[Place(Polynomial((-3, 3)))] == "I2"
+        assert Place.at(0) != Place() and Place() != Place.at(0)
+        with pytest.raises(ExactAlgebraError):
+            Place(Polynomial((5,)))
+
     def test_degree_weighted_orders_sum_to_zero(self):
         rng = random.Random(99)
         for _ in range(15):

@@ -7,7 +7,6 @@ from kumfib.hodge import (
     COMPONENTS_BY_Y,
     CY_INFINITY_PROFILES,
     MULTIPLICITIES_BY_Y,
-    FixedCurveSummary,
     InternalError,
     UnsupportedError,
     analyze_branch_data,
@@ -169,7 +168,6 @@ class TestPipeline:
         assert report.cy
         assert report.s == 8 and report.p_g == 0
         assert report.h11 == 40 and report.h21 == 0 and report.euler == 80
-        assert report.consistent()
         assert not report.guaranteed_smooth
         assert report.inventory.terminal_singularity_count() == 8
 
@@ -189,10 +187,7 @@ class TestPipeline:
         assert r.guaranteed_smooth
 
     def test_fixed_curve_summary(self):
-        summary = fixed_curve(regular_deck_cover())
-        assert summary.s == 8
-        assert summary.genera == (0,) * 8
-        assert summary.component_degrees == (8,) * 8
+        assert fixed_curve(regular_deck_cover()) == (0,) * 8
 
     def test_each_distinct_component_pulled_back_once(self, monkeypatch):
         # c2_components() is (double, double, quadruple): two pullbacks, not three
@@ -200,14 +195,9 @@ class TestPipeline:
         reports = [r for c in c2_components() for r in pullback(c, g)]
         calls = []
         monkeypatch.setattr(hodge, "pullback", lambda *a: calls.append(a) or pullback(*a))
-        summary = fixed_curve(g)
+        genera = fixed_curve(g)
         assert len(calls) == 2
-        assert summary == FixedCurveSummary(
-            s=len(reports),
-            genera=tuple(sorted(r.genus for r in reports)),
-            p_g=sum(r.genus for r in reports),
-            component_degrees=tuple(sorted(r.degree for r in reports)),
-        )
+        assert genera == tuple(sorted(r.genus for r in reports))
 
     @pytest.mark.parametrize(
         "b",
@@ -245,6 +235,10 @@ class TestPipeline:
     def test_euler_consistency_across_catalog(self):
         from kumfib.cli import admissible_branch_data
 
+        with_hodge = 0
         for b in admissible_branch_data(5):
             for r in analyze_branch_data(b, limit=4, max_candidates=100_000):
-                assert r.consistent()
+                if r.h11 is not None:
+                    assert r.euler == 2 * (r.h11 - r.h21)
+                    with_hodge += 1
+        assert with_hodge > 0

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from kumfib import cli, monodromy, verification
+from kumfib import cli, family, monodromy, verification
 from kumfib.monodromy import LoopSpec, base_configuration, deck_parity, track_loop
 from kumfib.permutations import Permutation, group_closure, orbits
 
@@ -21,27 +21,42 @@ def tables():
     return verification._tables()
 
 
+def _mp(q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
 class TestBaseConfiguration:
     def test_six_distinct_roots_and_triples(self):
-        cfg = base_configuration(128)
-        assert len(cfg.xi_roots) == 6
-        assert cfg.triple_of == (1, 1, 1, 2, 2, 2)
+        roots = base_configuration(128)
+        assert isinstance(roots, tuple) and len(roots) == 6
+        lam = monodromy.BASE_POINT
+        fam = family.lambda_family()
+        a, b = fam.a_of_lambda(lam), fam.b_of_lambda(lam)
         with mpmath.workprec(128):
             for i in range(6):
                 for j in range(i + 1, 6):
-                    assert abs(cfg.xi_roots[i] - cfg.xi_roots[j]) > mpmath.mpf("1e-3")
+                    assert abs(roots[i] - roots[j]) > mpmath.mpf("1e-3")
+            # labels 1..3 carry C = +lambda^{3/2}, labels 4..6 C = -lambda^{3/2}
+            s32 = mpmath.sqrt(_mp(lam)) ** 3
+            for label, xi in enumerate(roots, start=1):
+                xi = mpmath.mpc(xi)
+                c = 4 * xi**3 - 3 * _mp(a) * xi - _mp(b)
+                sign = 1 if label <= 3 else -1
+                assert abs(c - sign * s32) < abs(c + sign * s32)
 
     def test_sorted_within_triples(self):
-        cfg = base_configuration(128)
-        for block in (cfg.x_roots[:3], cfg.x_roots[3:]):
-            keys = [(mpmath.re(x), mpmath.im(x)) for x in block]
-            assert keys == sorted(keys)
+        with mpmath.workprec(128):
+            sqrt_lam = mpmath.sqrt(_mp(monodromy.BASE_POINT))
+            x_roots = [mpmath.mpc(xi) / sqrt_lam for xi in base_configuration(128)]
+            for block in (x_roots[:3], x_roots[3:]):
+                keys = [(mpmath.re(x), mpmath.im(x)) for x in block]
+                assert keys == sorted(keys)
 
 
 class TestLoops:
     def test_trivial_loop_is_identity(self):
         # a tiny circle around the base point encloses no puncture
-        cfg = base_configuration(96)
+        roots = base_configuration(96)
         base = -257 / 256
         r = 1 / 1024
         pieces = [
@@ -50,8 +65,8 @@ class TestLoops:
             monodromy._segment(base + r, base),
         ]
         safety = 1e-10
-        final = monodromy._track_pieces(pieces, cfg.xi_roots, 64, safety)
-        assert monodromy._match(final, cfg).is_identity
+        final = monodromy._track_pieces(pieces, roots, 64, safety)
+        assert monodromy._match(final, roots).is_identity
 
     def test_non_puncture_center_rejected(self):
         spec = LoopSpec(center=F(-257, 256), initial_steps=64)
@@ -155,19 +170,18 @@ class TestHighPrecisionOracle:
     """The double-precision tracker against polyroots at 128 bits."""
 
     def test_base_configuration(self):
-        cfg = base_configuration(16)
-        _assert_near_oracle(cfg.xi_roots, complex(cfg.lam))
+        _assert_near_oracle(base_configuration(16), complex(monodromy.BASE_POINT))
 
     @pytest.mark.parametrize("center", [F(0), F(1, 256), monodromy.INFINITY])
     def test_tracked_roots_along_each_loop(self, center):
         # the roots at the middle and the end of every piece of the loop
-        cfg = base_configuration(128)
-        safety = 1e-4 * max(abs(x) for x in cfg.xi_roots)
+        roots = base_configuration(128)
+        safety = 1e-4 * max(abs(x) for x in roots)
         pieces = monodromy._loop_pieces(LoopSpec(center=center, initial_steps=64))
         for k, piece in enumerate(pieces):
             for frac in (0.5, 1.0):
                 prefix = pieces[:k] + [lambda t, piece=piece, frac=frac: piece(frac * t)]
-                tracked = monodromy._track_pieces(prefix, cfg.xi_roots, 64, safety)
+                tracked = monodromy._track_pieces(prefix, roots, 64, safety)
                 _assert_near_oracle(tracked, piece(frac))
 
     def test_coarse_solve_and_steps_reproduce_the_table(self, capsys):
