@@ -6,7 +6,8 @@ Subcommands:
   enumerate             catalog admissible branch data up to a degree bound
   monodromy             run the loop tracker and print the puncture table
   fibers                print the singular-fiber reference tables
-  verify-paper          re-run every pinned reference check, one line per check
+  verify-paper          re-run every pinned reference check, one line per check;
+                        a failing check also prints its expected and actual values
 
 Exit codes: 0 success, 1 internal check failure or fault, 2 invalid input,
 3 requested quantity unsupported (outside the tabulated cases).  A cover
@@ -27,7 +28,8 @@ Input documents are JSON objects carrying either bare branch data
 
     {"branch_data": {"n": 5, "x": [5], "y": [1, 4], "z": [1, 1, 1, 1, 1], "r": 1}}
 
-or an explicit monodromy tuple in cycle notation (whitespace/commas both fine)
+or an explicit monodromy tuple in cycle notation, each a product of disjoint
+cycles (whitespace/commas both fine)
 
     {"cover": {"degree": 4,
                "quarter256": "(1 3)", "infinity": "(1 4 3 2)", "zero": "(1 2)(3 4)",

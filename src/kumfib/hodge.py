@@ -292,19 +292,20 @@ def analyze_branch_data(
 
     Different tuples with the same branch data can pull the fixed curve back
     differently; when they do, every outcome is reported and each report is
-    flagged ambiguous.  When no tuple realizes the data, a single report with
-    the inventory (and no curve data) is returned.
+    flagged ambiguous.  Outcomes come in ascending (s, p_g), each with the
+    least genera tuple found for it, so the records of a search do not depend
+    on the order in which it finds its tuples.  When no tuple realizes the
+    data, a single report with the inventory (and no curve data) is returned.
     """
-    if b.admits_rational_cover() and b.y not in CY_INFINITY_PROFILES:
+    if b.admits_rational_cover() and not cy_condition(b):
         return [CYReport.for_branch(b, unsupported=_NOT_CY)]
     result: SearchResult = search_tuples(b, limit=limit, max_candidates=max_candidates)
-    outcomes: dict[tuple[int, int], CYReport] = {}
+    least_genera: dict[tuple[int, int], tuple[int, ...]] = {}
     for cover in result.covers:
         genera = fixed_curve(cover)
         key = (len(genera), sum(genera))
-        if key not in outcomes:
-            outcomes[key] = _report_for_tuple(b, genera)
-    reports = list(outcomes.values())
+        least_genera[key] = min(genera, least_genera.get(key, genera))
+    reports = [_report_for_tuple(b, least_genera[key]) for key in sorted(least_genera)]
     if not reports:
         note = (
             "no transitive monodromy tuple realizes this branch data"

@@ -35,17 +35,19 @@ class Permutation:
 
     @staticmethod
     def from_cycles(n: int, cycles) -> "Permutation":
+        """The product of disjoint cycles; a point in two cycles, or twice in one, is refused."""
         imgs = list(range(1, n + 1))
+        seen: set[int] = set()
         for cyc in cycles:
             cyc = [int(c) for c in cyc]
-            if len(set(cyc)) != len(cyc):
-                raise PermutationError(f"repeated point in cycle {cyc}")
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 if not 1 <= a <= n:
                     raise PermutationError(f"point {a} outside 1..{n}")
+                if a in seen:
+                    raise PermutationError(f"point {a} appears twice; cycles must be disjoint")
+                seen.add(a)
                 imgs[a - 1] = b
-        p = Permutation(imgs)
-        return p
+        return Permutation(imgs)
 
     @staticmethod
     def from_cycle_string(n: int, text: str) -> "Permutation":

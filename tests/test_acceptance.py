@@ -4,12 +4,17 @@ Each test runs the corresponding named verification check (the same registry
 the `verify-paper` subcommand uses), asserts it passed and its wall-clock
 bound, and prints one PASS/FAIL line.  The expensive loop tables are shared
 across criteria through the verification cache, so criterion 6 pays the
-tracking cost once and the later property suites reuse it.
+tracking cost once and the later property suites reuse it.  A table of
+injected faults, at least one per check, shows that each check fails when the
+values it compares disagree.
 """
 
 import time
+from dataclasses import replace
 
-from kumfib import hurwitz, verification
+import pytest
+
+from kumfib import family, hodge, hurwitz, kodaira, mpolar, verification
 
 
 def _run(number, key, budget_seconds=None, shared_budget=None):
@@ -97,3 +102,81 @@ def test_criterion_13_domain_follows_the_degree_bound(monkeypatch):
     result = verification.run_one("cy-vs-riemann-hurwitz")
     assert not result.passed
     assert result.actual == "checked 67848 branch data"
+
+
+def _fault(module, name, change):
+    """A fault that sets module.name to change(its current value)."""
+    return lambda monkeypatch: monkeypatch.setattr(module, name, change(getattr(module, name)))
+
+
+def _swap_zero_and_infinity(table):
+    return replace(table, around_zero=table.around_infinity, around_infinity=table.around_zero)
+
+
+#: At least one injected fault per check key.
+FAULTS = [
+    ("tower", "lambda-doubled", _fault(family, "LAMBDA_OF_NU", lambda lam: 2 * lam)),
+    ("fiber-table", "fiber-dropped", _fault(kodaira, "classify", lambda real: lambda w: real(w)[:-1])),
+    ("fiber-orders", "orders-doubled", _fault(verification, "order_at", lambda real: lambda f, p: 2 * real(f, p))),
+    ("j-formula", "j-shifted", _fault(kodaira, "j_function", lambda real: lambda w: real(w) + 1)),
+    (
+        "delta-factorization",
+        "delta-arguments-swapped",
+        _fault(mpolar, "discriminant_delta", lambda real: lambda a, b: real(b, a)),
+    ),
+    ("cross-family", "e2-is-e1", _fault(family, "e2_model", lambda real: family.e1_model)),
+    (
+        "loop-table",
+        "table-wrong",
+        _fault(verification, "_tables", lambda real: lambda: {s: _swap_zero_and_infinity(t) for s, t in real().items()}),
+    ),
+    ("deck-group", "alpha-labels-inverted", _fault(family, "ALPHA_LABELS", lambda p: p.inverse())),
+    (
+        "kummer-involutions",
+        "iota-base-map-wrong",
+        lambda monkeypatch: monkeypatch.setitem(family.INVOLUTION_BASE_MAPS, "iota", family.BETA_BASE),
+    ),
+    (
+        "kummer-involutions",
+        "images-off-surface",
+        _fault(family, "apply_involution", lambda real: lambda w, p: replace(real(w, p), u=2 * real(w, p).u)),
+    ),
+    ("fixed-curve-data", "genus-shifted", _fault(hurwitz, "genus", lambda real: lambda c: real(c) + 1)),
+    ("quintic-example", "c-by-y-wrong", lambda monkeypatch: monkeypatch.setitem(hodge.C_BY_Y, 4, 1)),
+    ("regular-cover-example", "c-by-y-wrong", lambda monkeypatch: monkeypatch.setitem(hodge.C_BY_Y, 4, 1)),
+    (
+        "regular-cover-example",
+        "search-empty",
+        _fault(hurwitz, "search_tuples", lambda real: lambda *a, **k: replace(real(*a, **k), covers=())),
+    ),
+    (
+        "pinned-constants",
+        "h21-wrong",
+        _fault(hodge, "reference_constants", lambda real: lambda: replace(real(), kummer_model=hodge.HodgeTriple(40, 1, 80))),
+    ),
+    (
+        "cy-vs-riemann-hurwitz",
+        "no-rational-cover",
+        lambda monkeypatch: monkeypatch.setattr(hurwitz.BranchData, "admits_rational_cover", lambda b: False),
+    ),
+    ("pullback-accounting", "component-dropped", _fault(hurwitz, "pullback", lambda real: lambda a, g: real(a, g)[:-1])),
+    ("vieta", "roots-equal", _fault(mpolar, "j_pair", lambda real: lambda sp: (real(sp)[0],) * 2)),
+    (
+        "step-stability",
+        "coarse-table-wrong",
+        _fault(verification, "_tables", lambda real: lambda: {**real(), 64: _swap_zero_and_infinity(real()[64])}),
+    ),
+]
+
+
+def test_every_check_has_a_fault():
+    assert {key for key, _, _ in FAULTS} == set(verification.check_keys())
+
+
+@pytest.mark.parametrize("key, fault", [pytest.param(k, f, id=f"{k}-{n}") for k, n, f in FAULTS])
+def test_injected_fault_fails_its_check(monkeypatch, key, fault):
+    fault(monkeypatch)
+    result = verification.run_one(key)
+    assert result.passed is False
+    # found by comparing values, not by a crash
+    assert result.expected != "check to complete", result.actual

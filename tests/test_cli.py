@@ -108,6 +108,13 @@ class TestReport:
         code, out, err = run(["report", write_doc(tmp_path, {"cover": cover})], capsys)
         assert (code, out, err) == (2, "", line)
 
+    def test_overlapping_cycles_exit_2(self, tmp_path, capsys):
+        # read as (1 2) the cover would be a valid degree-2 cover with h11 = 58
+        doc = {"cover": {"degree": 2, "quarter256": "(1 2)(1 2)", "infinity": "id", "zero": "(1 2)"}}
+        code, out, err = run(["report", write_doc(tmp_path, doc)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "invalid document: cover.quarter256: point 1 appears twice; cycles must be disjoint\n"
+
     def test_one_connectivity_test_per_report(self, tmp_path, capsys, monkeypatch):
         calls = []
         real = hurwitz.is_transitive
@@ -381,6 +388,15 @@ class TestVerify:
         )
         assert code == 0
         assert out.count("PASS") == 4 and "FAIL" not in out
+
+    def test_failing_check_prints_its_values(self, capsys, monkeypatch):
+        monkeypatch.setitem(hodge.C_BY_Y, 4, 1)
+        code, out, _ = run(["verify-paper", "--only", "quintic-example"], capsys)
+        lines = out.splitlines()
+        assert code == 1
+        assert [line.split()[0] for line in lines] == ["FAIL", "expected:", "actual:", "0/1"]
+        assert "'h11': 59, 'h21': 3, 'euler': 112" in lines[1]
+        assert "'h11': 60, 'h21': 3, 'euler': 114" in lines[2]
 
 
 SYMPY_FREE_SCRIPT = """

@@ -1,5 +1,7 @@
 """Calabi-Yau condition, inventories, Hodge formulas, and the pipeline."""
 
+from dataclasses import replace
+
 import pytest
 
 from kumfib import hodge
@@ -185,6 +187,20 @@ class TestPipeline:
         assert (r.s, r.p_g, r.genera) == (3, 2, (0, 0, 2))
         assert (r.h11, r.h21, r.euler) == (59, 3, 112)
         assert r.guaranteed_smooth
+
+    def test_records_do_not_depend_on_search_order(self, monkeypatch):
+        # a complete search with two outcomes, (s, p_g) = (6, 0) and (7, 1)
+        b = BranchData(n=8, x=(4, 4), y=(4, 4), z=(2, 2, 1, 1, 1, 1), r=0)
+        forward = analyze_branch_data(b)
+        search = hodge.search_tuples
+
+        def reversed_search(*args, **kwargs):
+            result = search(*args, **kwargs)
+            return replace(result, covers=result.covers[::-1])
+
+        monkeypatch.setattr(hodge, "search_tuples", reversed_search)
+        assert [(r.s, r.p_g, r.search_truncated) for r in forward] == [(6, 0, False), (7, 1, False)]
+        assert analyze_branch_data(b) == forward
 
     def test_fixed_curve_summary(self):
         assert fixed_curve(regular_deck_cover()) == (0,) * 8

@@ -32,11 +32,18 @@ from kumfib.hurwitz import (
     search_tuples,
     validate,
 )
-from kumfib.permutations import Permutation, is_transitive
+from kumfib.permutations import Permutation, PermutationError, is_transitive
 
 
 def perm(n, *cycles):
     return Permutation.from_cycles(n, cycles)
+
+
+class TestCycleNotation:
+    @pytest.mark.parametrize("text", ["(1 2)(1 2)", "(1 2 3)(3 2 1)", "(1 2)(2 3)", "(1 2 1)"])
+    def test_point_in_two_cycles_refused(self, text):
+        with pytest.raises(PermutationError, match="cycles must be disjoint"):
+            Permutation.from_cycle_string(3, text)
 
 
 class TestValidate:
