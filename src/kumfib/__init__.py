@@ -20,6 +20,7 @@ from .exact import (
     order_at,
 )
 from .family import (
+    LAMBDA_FAMILY,
     CoverTower,
     DeckElement,
     KummerPoint,
@@ -30,7 +31,6 @@ from .family import (
     deck_element,
     e1_model,
     e2_model,
-    lambda_family,
     lambda_of_nu,
     params_of_lambda,
 )
@@ -50,11 +50,11 @@ from .hodge import (
     smoothness,
 )
 from .hurwitz import (
+    C2_COMPONENTS,
     HurwitzCover,
     HurwitzError,
     SearchResult,
     branch_data_of,
-    c2_components,
     genus,
     pullback,
     regular_deck_cover,

@@ -7,7 +7,8 @@ Subcommands:
   monodromy             run the loop tracker and print the puncture table
   fibers                print the singular-fiber reference tables
   verify-paper          re-run every pinned reference check, one line per check;
-                        a failing check also prints its expected and actual values
+                        a failing check also prints its expected and actual values,
+                        only the differing labels of a labelled result
 
 Exit codes: 0 success, 1 internal check failure or fault, 2 invalid input,
 3 requested quantity unsupported (outside the tabulated cases).  A cover
@@ -18,11 +19,12 @@ which hodge.analyze_cover checks.
 Calabi-Yau branch data (infinity profile in hodge.CY_INFINITY_PROFILES) has
 degree at most hurwitz.MAX_SEARCH_DEGREE = 8: `report` refuses branch data
 or a cover above it with exit 3 (a cover before any of its permutations is
-built), and `enumerate --max-degree` above it with exit 2.
-The search limits (`search_limit`/`max_candidates` in a branch-data document,
-`--limit`/`--max-candidates` for `enumerate`) and the tracker settings
-(`--precision`/`--steps` for `monodromy`) below 1 exit 2, as does a
-`--precision` too coarse for the base-point solve to be polished (1-3 bits).
+built), and `enumerate --max-degree` above it with exit 2.  The search
+limits (`search_limit`/`max_candidates` in a branch-data document,
+`--limit`/`--max-candidates` for `enumerate`) below 1 exit 2.  `monodromy`
+and `fibers` take no options: the loop table is tracked at the library's
+defaults, and the fiber table runs over the ramification indices up to the
+degree bound.
 
 Input documents are JSON objects carrying either bare branch data
 
@@ -38,8 +40,9 @@ cycles (whitespace/commas both fine)
 with optional {"options": ...}.  Both kinds take "output_format": "text" |
 "jsonl" | "both".  Only branch data takes the search limits "search_limit"
 and "max_candidates" (ints), because only Calabi-Yau branch data is ever
-searched; a cover is analyzed as given.  Any other option, and a search
-limit on a cover, is refused (exit 2, one `invalid document: options` line).
+searched; a cover is analyzed as given.  Every object of a document is
+checked for unknown fields, so a misspelt field is refused (exit 2, one
+`invalid document: <path>: unknown fields [...]` line), never ignored.
 Structured output is line-delimited JSON with a stable field order; all
 values are integers, booleans or strings, so output is byte-identical across
 runs.
@@ -84,14 +87,27 @@ def _expect_partition(value, path: str) -> tuple[int, ...]:
     return tuple(_expect_int(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
-def parse_branch_data(obj, path: str = "branch_data") -> BranchData:
-    if not isinstance(obj, dict):
-        raise DocumentError(path, "expected an object")
-    unknown = set(obj) - {"n", "x", "y", "z", "r"}
+def _object(value, path: str, known) -> dict:
+    """value, checked to be a JSON object with no field outside known."""
+    if not isinstance(value, dict):
+        raise DocumentError(path, "document must be a JSON object" if path == "$" else "expected an object")
+    unknown = value.keys() - known
     if unknown:
         raise DocumentError(path, f"unknown fields {sorted(unknown)}")
+    return value
+
+
+def _within_cy_degree(n: int, kind: str) -> None:
+    if n > hurwitz.MAX_SEARCH_DEGREE:
+        raise hodge.UnsupportedError(
+            f"{kind}: degree n = {n} exceeds {hurwitz.MAX_SEARCH_DEGREE}, the largest Calabi-Yau degree"
+        )
+
+
+def parse_branch_data(obj, path: str = "branch_data") -> BranchData:
+    obj = _object(obj, path, ("n", "x", "y", "z", "r"))
     try:
-        return BranchData(
+        data = BranchData(
             n=_expect_int(obj.get("n"), f"{path}.n"),
             x=_expect_partition(obj.get("x"), f"{path}.x"),
             y=_expect_partition(obj.get("y"), f"{path}.y"),
@@ -100,23 +116,14 @@ def parse_branch_data(obj, path: str = "branch_data") -> BranchData:
         )
     except hurwitz.HurwitzError as exc:
         raise DocumentError(path, str(exc)) from None
-
-
-def _within_cy_degree(n: int) -> None:
-    if n > hurwitz.MAX_SEARCH_DEGREE:
-        raise hodge.UnsupportedError(
-            f"degree n = {n} exceeds {hurwitz.MAX_SEARCH_DEGREE}, the largest Calabi-Yau degree"
-        )
+    _within_cy_degree(data.n, "branch data")
+    return data
 
 
 def parse_cover(obj, path: str = "cover") -> HurwitzCover:
-    if not isinstance(obj, dict):
-        raise DocumentError(path, "expected an object")
-    unknown = set(obj) - {"degree", "quarter256", "infinity", "zero", "extras"}
-    if unknown:
-        raise DocumentError(path, f"unknown fields {sorted(unknown)}")
+    obj = _object(obj, path, ("degree", *hurwitz.SPECIAL_MARKS, "extras"))
     degree = _expect_int(obj.get("degree"), f"{path}.degree")
-    _within_cy_degree(degree)  # before any permutation of that degree is built
+    _within_cy_degree(degree, "cover")  # before any permutation of that degree is built
 
     def perm(field: str, text) -> Permutation:
         if text is None:
@@ -131,22 +138,16 @@ def parse_cover(obj, path: str = "cover") -> HurwitzCover:
     extras_obj = obj.get("extras", [])
     if not isinstance(extras_obj, list):
         raise DocumentError(f"{path}.extras", "expected a list of cycle strings")
-    extras = tuple(
-        perm(f"extras[{i}]", text) for i, text in enumerate(extras_obj)
-    )
+    extras = tuple(perm(f"extras[{i}]", text) for i, text in enumerate(extras_obj))
+    slots = {mark: perm(mark, obj.get(mark)) for mark in hurwitz.SPECIAL_MARKS}
     try:
-        return HurwitzCover(
-            degree,
-            quarter256=perm("quarter256", obj.get("quarter256")),
-            infinity=perm("infinity", obj.get("infinity")),
-            zero=perm("zero", obj.get("zero")),
-            extras=extras,
-        )
+        return HurwitzCover(degree, **slots, extras=extras)
     except hurwitz.HurwitzError as exc:  # the input's refusal, not a fault inside the analysis
         raise hurwitz.InvalidCoverError(str(exc)) from None
 
 
-def load_document(path: str):
+def load_document(path: str) -> tuple[BranchData | HurwitzCover, dict]:
+    """The document's subject and its options, with their defaults filled in."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -156,24 +157,23 @@ def load_document(path: str):
         raise DocumentError(path, f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:  # not UTF-8, an over-long integer, deep nesting
         raise DocumentError(path, f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise DocumentError("$", "document must be a JSON object")
-    has_data = "branch_data" in doc
-    has_cover = "cover" in doc
-    if has_data == has_cover:
+    doc = _object(doc, "$", ("branch_data", "cover", "options"))
+    if ("branch_data" in doc) == ("cover" in doc):
         raise DocumentError("$", "provide exactly one of 'branch_data' or 'cover'")
-    options = doc.get("options", {})
-    if not isinstance(options, dict):
-        raise DocumentError("options", "expected an object")
+    is_cover = "cover" in doc
     # a cover is not searched, so only branch data takes the search limits
-    known = {"output_format", "search_limit", "max_candidates"} if has_data else {"output_format"}
-    unknown = set(options) - known
-    if unknown:
-        raise DocumentError("options", f"unknown fields {sorted(unknown)}")
-    for field in ("search_limit", "max_candidates"):
-        if field in options and _expect_int(options[field], f"options.{field}") < 1:
-            raise DocumentError(f"options.{field}", f"must be at least 1, got {options[field]}")
-    return doc, options
+    defaults = {"output_format": "both"}
+    if not is_cover:
+        defaults.update(search_limit=hurwitz.SEARCH_LIMIT, max_candidates=hurwitz.MAX_CANDIDATES)
+    options = {**defaults, **_object(doc.get("options", {}), "options", defaults)}
+    for field, value in options.items():
+        if field != "output_format" and _expect_int(value, f"options.{field}") < 1:
+            raise DocumentError(f"options.{field}", f"must be at least 1, got {value}")
+    if options["output_format"] not in ("text", "jsonl", "both"):
+        raise DocumentError("options.output_format", f"unknown format {options['output_format']!r}")
+    if is_cover:
+        return parse_cover(doc["cover"]), options
+    return parse_branch_data(doc["branch_data"]), options
 
 
 # -- rendering -------------------------------------------------------------------
@@ -277,19 +277,12 @@ def _emit(reports: list[hodge.CYReport], fmt: str) -> None:
 
 def cmd_report(args) -> int:
     try:
-        doc, options = load_document(args.file)
-        fmt = options.get("output_format", "both")
-        if fmt not in ("text", "jsonl", "both"):
-            raise DocumentError("options.output_format", f"unknown format {fmt!r}")
-        limit = options.get("search_limit", hurwitz.SEARCH_LIMIT)
-        max_candidates = options.get("max_candidates", hurwitz.MAX_CANDIDATES)
-        if "cover" in doc:
-            reports = [hodge.analyze_cover(parse_cover(doc["cover"]))]
+        subject, options = load_document(args.file)
+        if isinstance(subject, HurwitzCover):
+            reports = [hodge.analyze_cover(subject)]
         else:
-            data = parse_branch_data(doc["branch_data"])
-            _within_cy_degree(data.n)
             reports = hodge.analyze_branch_data(
-                data, limit=limit, max_candidates=max_candidates
+                subject, limit=options["search_limit"], max_candidates=options["max_candidates"]
             )
     except DocumentError as exc:
         sys.stderr.write(f"invalid document: {exc}\n")
@@ -298,9 +291,9 @@ def cmd_report(args) -> int:
         sys.stderr.write(f"invalid cover: {exc}\n")
         return EXIT_INVALID_INPUT
     except hodge.UnsupportedError as exc:
-        sys.stderr.write(f"unsupported {'cover' if 'cover' in doc else 'branch data'}: {exc}\n")
+        sys.stderr.write(f"unsupported {exc}\n")
         return EXIT_UNSUPPORTED
-    _emit(reports, fmt)
+    _emit(reports, options["output_format"])
     if any(r.unsupported and r.cy for r in reports):
         return EXIT_UNSUPPORTED
     return EXIT_OK
@@ -335,36 +328,19 @@ def cmd_enumerate(args) -> int:
             return EXIT_INVALID_INPUT
     catalog = admissible_branch_data(args.max_degree)
     for b in catalog:
-        if args.no_search:
-            reports = [hodge.CYReport.for_branch(b, unsupported="tuple search skipped")]
-        else:
-            reports = hodge.analyze_branch_data(
-                b, limit=args.limit, max_candidates=args.max_candidates
-            )
-        _emit(reports, "jsonl")
+        _emit(hodge.analyze_branch_data(b, limit=args.limit, max_candidates=args.max_candidates), "jsonl")
     sys.stderr.write(f"enumerate: {len(catalog)} admissible branch data\n")
     return EXIT_OK
 
 
 def cmd_monodromy(args) -> int:
-    for flag, value in (("--precision", args.precision), ("--steps", args.steps)):
-        if value < 1:
-            sys.stderr.write(f"monodromy: {flag} must be at least 1, got {value}\n")
-            return EXIT_INVALID_INPUT
     try:
-        table = monodromy.puncture_table(
-            precision_bits=args.precision, initial_steps=args.steps
-        )
-    except monodromy.CoarseSolveError:  # raised by the base-point solve, before any tracking
-        sys.stderr.write(
-            f"monodromy: --precision {args.precision} is too coarse for the base-point solve\n"
-        )
-        return EXIT_INVALID_INPUT
+        table = monodromy.puncture_table()
     except monodromy.MonodromyError as exc:
         sys.stderr.write(f"monodromy failed: {exc}\n")
         return EXIT_CHECK_FAILURE
     rho = verification.find_relabeling(table)
-    print(f"base point        lambda = -257/256, precision {args.precision} bits")
+    print(f"base point        lambda = {monodromy.BASE_POINT}, precision {monodromy.BASE_PRECISION_BITS} bits")
     for mark, perm in table.as_dict().items():
         print(f"loop around {mark:<11} {perm.cycle_string():<18} cycle type {list(perm.cycle_type())}")
     product = table.around_zero * table.around_infinity * table.around_quarter256
@@ -378,7 +354,7 @@ def cmd_monodromy(args) -> int:
 
 def cmd_fibers(args) -> int:
     print("fiber over 0 with ramification x: x^2+1 components (x odd), x^2+2 (x even)")
-    for x in range(1, args.max_x + 1):
+    for x in range(1, hurwitz.MAX_SEARCH_DEGREE + 1):
         print(f"  x = {x:>2}: {hodge.components_over_zero(x):>4} components")
     print("fiber over infinity with ramification y:")
     for y in (1, 2, 4, 8):
@@ -409,8 +385,12 @@ def cmd_verify(args) -> int:
         status = "PASS" if result.passed else "FAIL"
         print(f"{status}  {result.key:<24} {result.description} [{result.seconds:.2f}s]")
         if not result.passed:
-            print(f"      expected: {result.expected}")
-            print(f"      actual:   {result.actual}")
+            expected, actual = result.expected, result.actual
+            if isinstance(expected, dict) and isinstance(actual, dict) and expected.keys() == actual.keys():
+                differing = [k for k in expected if expected[k] != actual[k]]
+                expected, actual = ({k: values[k] for k in differing} for values in (expected, actual))
+            print(f"      expected: {expected}")
+            print(f"      actual:   {actual}")
             failures += 1
     print(f"{len(results) - failures}/{len(results)} checks passed")
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILURE
@@ -435,17 +415,14 @@ def _parser() -> argparse.ArgumentParser:
     p_enum.add_argument(
         "--max-candidates", type=int, default=20_000, help="search budget per datum"
     )
-    p_enum.add_argument("--no-search", action="store_true", help="skip tuple searches")
     p_enum.set_defaults(fn=cmd_enumerate)
 
-    p_mono = sub.add_parser("monodromy", help="track the six roots around the punctures")
-    p_mono.add_argument("--precision", type=int, default=128, metavar="BITS")
-    p_mono.add_argument("--steps", type=int, default=256, metavar="N")
-    p_mono.set_defaults(fn=cmd_monodromy)
-
-    p_fib = sub.add_parser("fibers", help="print the singular-fiber reference tables")
-    p_fib.add_argument("--max-x", type=int, default=8)
-    p_fib.set_defaults(fn=cmd_fibers)
+    sub.add_parser("monodromy", help="track the six roots around the punctures").set_defaults(
+        fn=cmd_monodromy
+    )
+    sub.add_parser("fibers", help="print the singular-fiber reference tables").set_defaults(
+        fn=cmd_fibers
+    )
 
     p_verify = sub.add_parser(
         "verify-paper", help="re-run every pinned reference check"

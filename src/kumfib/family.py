@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Literal
 
 from . import kodaira
@@ -44,17 +43,15 @@ class LambdaFamily:
     pi_of_lambda: RationalFunction
 
 
-@cache
-def lambda_family() -> LambdaFamily:
-    """The family's parameter maps, built once per process."""
-    lam = _NU
-    a = lam + _F(1, 144)
-    b = _F(3, 8) * lam - _F(1, 1728)
-    d = lam**3
-    # sigma = 2 - 23/(192 lam) + 1/(1728 lam^2), pi = (1 + 1/(144 lam))^3
-    sigma = RationalFunction.of((1, -207, 3456), (0, 0, 1728))
-    pi = (1 + RationalFunction.of((1,), (0, 144))) ** 3
-    return LambdaFamily(a, b, d, sigma, pi)
+#: The family's parameter maps, built once at import (the variable is lambda).
+#: sigma = 2 - 23/(192 lam) + 1/(1728 lam^2), pi = (1 + 1/(144 lam))^3.
+LAMBDA_FAMILY = LambdaFamily(
+    a_of_lambda=_NU + _F(1, 144),
+    b_of_lambda=_F(3, 8) * _NU - _F(1, 1728),
+    d_of_lambda=_NU**3,
+    sigma_of_lambda=RationalFunction.of((1, -207, 3456), (0, 0, 1728)),
+    pi_of_lambda=(1 + RationalFunction.of((1,), (0, 144))) ** 3,
+)
 
 
 def params_of_lambda(lam) -> ModularParams:
@@ -62,11 +59,10 @@ def params_of_lambda(lam) -> ModularParams:
     lam = _F(lam)
     if lam == 0:
         raise CuspError("lambda = 0 gives d = 0 (cusp)")
-    fam = lambda_family()
     return ModularParams(
-        a=fam.a_of_lambda(lam),
-        b=fam.b_of_lambda(lam),
-        d=fam.d_of_lambda(lam),
+        a=LAMBDA_FAMILY.a_of_lambda(lam),
+        b=LAMBDA_FAMILY.b_of_lambda(lam),
+        d=LAMBDA_FAMILY.d_of_lambda(lam),
     )
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .hurwitz import (
+    C2_COMPONENTS,
     MAX_CANDIDATES,
     SEARCH_LIMIT,
     BranchData,
@@ -39,7 +40,6 @@ from .hurwitz import (
     InvalidCoverError,
     SearchResult,
     branch_data_of,
-    c2_components,
     pullback,
     search_tuples,
     validate,
@@ -212,7 +212,7 @@ def fixed_curve(g: HurwitzCover) -> tuple[int, ...]:
     """
     genera = []
     pulled: dict[HurwitzCover, list] = {}
-    for component in c2_components():
+    for component in C2_COMPONENTS:
         if component not in pulled:
             pulled[component] = pullback(component, g)
         genera.extend(report.genus for report in pulled[component])

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from .monodromy import REFERENCE_TABLE
 from .permutations import (
@@ -269,24 +269,23 @@ def pullback(base_cover: HurwitzCover, g: HurwitzCover) -> list[ComponentReport]
 # -- the fixed curve of the reference family ----------------------------------------
 
 
-@cache
-def c2_components() -> tuple[HurwitzCover, HurwitzCover, HurwitzCover]:
-    """The three components of the fixed curve over the modular base, built once.
+_SWAP = Permutation.from_cycles(2, [(1, 2)])
 
-    Two double covers branched over {0, infinity}, and one four-fold cover
-    with profiles [2,1,1] over 1/256, [2,2] over 0 and [4] over infinity.
-    The four-fold tuple is pinned once; the exhaustive search oracle shows it
-    is the unique such tuple up to simultaneous conjugation.
-    """
-    swap = Permutation.from_cycles(2, [(1, 2)])
-    double = HurwitzCover(2, infinity=swap, zero=swap)
-    quadruple = HurwitzCover(
+#: The three components of the fixed curve over the modular base, built once
+#: at import: two double covers branched over {0, infinity}, and one
+#: four-fold cover with profiles [2,1,1] over 1/256, [2,2] over 0 and [4]
+#: over infinity.  The four-fold tuple is pinned once; the exhaustive search
+#: oracle shows it is the unique such tuple up to simultaneous conjugation.
+C2_COMPONENTS = (
+    HurwitzCover(2, infinity=_SWAP, zero=_SWAP),
+    HurwitzCover(2, infinity=_SWAP, zero=_SWAP),
+    HurwitzCover(
         4,
         quarter256=Permutation.from_cycles(4, [(1, 3)]),
         infinity=Permutation.from_cycles(4, [(1, 4, 3, 2)]),
         zero=Permutation.from_cycles(4, [(1, 2), (3, 4)]),
-    )
-    return double, double, quadruple
+    ),
+)
 
 
 def regular_deck_cover() -> HurwitzCover:

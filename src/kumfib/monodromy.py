@@ -9,7 +9,7 @@ single-valued polynomial
     S(xi, lambda) = (4 xi^3 - 3 a(lambda) xi - b(lambda))^2 - d(lambda),
 
 a, b and d = lambda^3 being the family's parameter maps, read from the one
-instance family.lambda_family() returns.  The square-root branch flip around
+instance family.LAMBDA_FAMILY.  The square-root branch flip around
 lambda = 0 is then absorbed by the coordinate, so every loop closes on the
 nose and the matching permutation is well defined.
 
@@ -33,14 +33,17 @@ With these conventions the tracker computes (16)(25)(34), (12), (1526)(34);
 the single relabeling swapping labels 4 and 6 carries all three onto the
 pinned REFERENCE_TABLE values simultaneously.
 
-Arithmetic: mpmath's polyroots solves for the six base roots at a chosen
-precision (base_configuration is the one place the package imports mpmath),
-and Newton's method polishes them in double precision.  The loops are then
-tracked in Python complex arithmetic by a predictor-corrector
-that accepts a step only when no root moves more than a third of the previous
-minimum separation, refuses paths that bring two roots within a safety
-radius, and matches each end point to a unique nearest base root.  A loop is
-a pure function of its spec and the precision of the base-point solve.
+Arithmetic: mpmath's polyroots solves for the six base roots at
+BASE_PRECISION_BITS unless told otherwise (base_configuration is the one
+place the package imports mpmath), and Newton's method polishes them in
+double precision.  The loops are then tracked in Python complex arithmetic
+by a predictor-corrector that accepts a step only when no root moves more
+than a third of the previous minimum separation, refuses paths that bring
+two roots within a safety radius, and matches each end point to a unique
+nearest base root.  A loop is a pure function of its spec and the precision
+of the base-point solve.  `kumfib monodromy` prints the table at the
+defaults; the precision and the initial step count stay parameters of the
+functions, which verify-paper's step-stability check and the tests vary.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ REFERENCE_TABLE: dict[str, Permutation] = {
 PUNCTURES = (Fraction(0), Fraction(1, 256))
 
 BASE_POINT = Fraction(-257, 256)
+BASE_PRECISION_BITS = 128
 DEFAULT_STEPS = 256
 BIG_RADIUS = 8
 
@@ -113,7 +117,7 @@ NEWTON_TOL = 2.0**-43
 CLOSURE_TOL = 2.0**-30
 
 
-_FAMILY = family.lambda_family()
+_FAMILY = family.LAMBDA_FAMILY
 _MAPS = (_FAMILY.a_of_lambda, _FAMILY.b_of_lambda, _FAMILY.d_of_lambda)
 
 #: a(lambda) = A1 lambda + A0, b(lambda) = B1 lambda + B0 and d(lambda), as
@@ -158,7 +162,7 @@ def _newton(xi, lam, a, b):
 _BASE_CACHE: dict[int, tuple[complex, ...]] = {}
 
 
-def base_configuration(precision_bits: int = 128) -> tuple[complex, ...]:
+def base_configuration(precision_bits: int = BASE_PRECISION_BITS) -> tuple[complex, ...]:
     """The six xi-roots at BASE_POINT in label order (cached per precision).
 
     Entry i is the root labeled i + 1.  Labels 1..3 are the roots with
@@ -355,7 +359,7 @@ def _match(final, base_roots) -> Permutation:
     return Permutation(images)
 
 
-def track_loop(spec: LoopSpec, precision_bits: int = 128) -> Permutation:
+def track_loop(spec: LoopSpec, precision_bits: int = BASE_PRECISION_BITS) -> Permutation:
     """The permutation of the six labels induced by one loop.
 
     sigma(i) = j means the root labeled i lands on the base root labeled j.
@@ -394,7 +398,7 @@ class PunctureTable:
 
 
 def puncture_table(
-    precision_bits: int = 128,
+    precision_bits: int = BASE_PRECISION_BITS,
     initial_steps: int = DEFAULT_STEPS,
     check_infinity_directly: bool = True,
 ) -> PunctureTable:

@@ -184,7 +184,7 @@ def _check_delta():
 def _check_cross_family():
     j1 = kodaira.j_function(family.e1_model())
     j2 = kodaira.j_function(family.e2_model())
-    fam = family.lambda_family()
+    fam = family.LAMBDA_FAMILY
     lam = family.LAMBDA_OF_NU
     return _split({
         "j1 + j2": (compose(fam.sigma_of_lambda, lam), j1 + j2),
@@ -261,25 +261,14 @@ _INVOLUTIONS = ("beta", "iota", "iota_prime")
 
 
 def _involution_residual(which: str):
-    """F(image) - cofactor * F, simplified: 0 when the coordinate map preserves
-    the hypersurface."""
+    """F(image) - (u'/u)^2 F for family.apply_involution on a symbolic point,
+    simplified: 0 when the coordinate map preserves the hypersurface."""
     import sympy
 
-    nu, s, t = sympy.symbols("nu s t")
-    F = family.kummer_rhs(nu, s, t)
-    r = (nu - 1) / (nu + 1)
-    if which == "beta":
-        image = F.subs({nu: -nu, s: r**2 * s, t: t}, simultaneous=True)
-        cofactor = r**6
-    elif which == "iota":
-        image = F.subs({nu: (nu + 1) / (nu - 1), s: t, t: s}, simultaneous=True)
-        cofactor = 1
-    elif which == "iota_prime":
-        image = F.subs({nu: r, s: t, t: r**2 * s}, simultaneous=True)
-        cofactor = r**6
-    else:
-        raise ValueError(which)
-    return sympy.cancel(image - cofactor * F)
+    nu, s, t, u = sympy.symbols("nu s t u")
+    image = family.apply_involution(which, family.KummerPoint(nu, s, t, u))
+    F = family.kummer_rhs
+    return sympy.cancel(F(image.nu, image.s, image.t) - (image.u / u) ** 2 * F(nu, s, t))
 
 
 @_check("kummer-involutions", "beta, iota, iota' preserve the Kummer hypersurface; beta^2 = iota^2 = id")
@@ -314,7 +303,7 @@ def _check_involutions():
 
 @_check("fixed-curve-data", "fixed curve: components of degree (2,2,4), genus 0, rigid 4-fold tuple")
 def _check_fixed_curve_data():
-    comps = hurwitz.c2_components()
+    comps = hurwitz.C2_COMPONENTS
     quad = comps[2]
     result = hurwitz.search_tuples(hurwitz.branch_data_of(quad), limit=8)
     return _split({

@@ -113,6 +113,18 @@ def _swap_zero_and_infinity(table):
     return replace(table, around_zero=table.around_infinity, around_infinity=table.around_zero)
 
 
+def _beta_scaling_s_by_r_cubed(real):
+    """beta with s -> r^3 s for r = (nu-1)/(nu+1), where the surface needs r^2 s."""
+
+    def apply(which, p):
+        image = real(which, p)
+        if which != "beta":
+            return image
+        return replace(image, s=((p.nu - 1) / (p.nu + 1)) ** 3 * p.s)
+
+    return apply
+
+
 #: At least one injected fault per check key.
 FAULTS = [
     ("tower", "lambda-doubled", _fault(family, "LAMBDA_OF_NU", lambda lam: 2 * lam)),
@@ -141,6 +153,7 @@ FAULTS = [
         "images-off-surface",
         _fault(family, "apply_involution", lambda real: lambda w, p: replace(real(w, p), u=2 * real(w, p).u)),
     ),
+    ("kummer-involutions", "beta-scales-s-by-r-cubed", _fault(family, "apply_involution", _beta_scaling_s_by_r_cubed)),
     ("fixed-curve-data", "genus-shifted", _fault(hurwitz, "genus", lambda real: lambda c: real(c) + 1)),
     ("quintic-example", "c-by-y-wrong", lambda monkeypatch: monkeypatch.setitem(hodge.C_BY_Y, 4, 1)),
     ("regular-cover-example", "c-by-y-wrong", lambda monkeypatch: monkeypatch.setitem(hodge.C_BY_Y, 4, 1)),
@@ -180,3 +193,13 @@ def test_injected_fault_fails_its_check(monkeypatch, key, fault):
     assert result.passed is False
     # found by comparing values, not by a crash
     assert result.expected != "check to complete", result.actual
+
+
+def test_symbolic_residuals_run_the_shipped_maps(monkeypatch):
+    # the symbolic identity is checked on family.apply_involution itself, so a
+    # wrong map fails it as well as the numerical points
+    _fault(family, "apply_involution", _beta_scaling_s_by_r_cubed)(monkeypatch)
+    result = verification.run_one("kummer-involutions")
+    label = "symbolic residuals"
+    assert result.expected[label] != result.actual[label]
+    assert result.actual[label]["beta"] != 0 and result.actual[label]["iota"] == 0

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kumfib
-from kumfib import cli, hodge, hurwitz
+from kumfib import cli, family, hodge, hurwitz
 from kumfib.permutations import Permutation
 
 QUINTIC_DOC = {
@@ -170,6 +170,12 @@ class TestReport:
         assert (record["h11"], record["h21"], record["euler"]) == (40, 0, 80)
         assert record["fixed_curve"]["components"] == 8
 
+    def test_unknown_top_level_field_rejected(self, tmp_path, capsys):
+        # a misspelt "options" would otherwise be dropped and its format ignored
+        doc = {"branch_data": QUINTIC_DOC["branch_data"], "optoins": {"output_format": "jsonl"}}
+        code, out, err = run(["report", write_doc(tmp_path, doc)], capsys)
+        assert (code, out, err) == (2, "", "invalid document: $: unknown fields ['optoins']\n")
+
     def test_unknown_option_rejected(self, tmp_path, capsys):
         doc = dict(QUINTIC_DOC, options={"formt": "jsonl"})
         code, _, err = run(["report", write_doc(tmp_path, doc)], capsys)
@@ -267,30 +273,23 @@ class TestEnumerate:
         assert "0 admissible" in err
 
     def test_degree_five_contains_quintic(self, capsys):
-        code, out, _ = run(["enumerate", "--max-degree", "5", "--no-search"], capsys)
-        assert code == 0
-        rows = [json.loads(line) for line in out.strip().splitlines()]
-        assert any(
-            row["branch_data"] == {"n": 5, "x": [5], "y": [4, 1], "z": [1, 1, 1, 1, 1], "r": 1}
-            for row in rows
+        # the one enumerate run with its searches: every datum gets a record
+        code, out, err = run(["enumerate", "--max-degree", "5"], capsys)
+        assert (code, err) == (0, "enumerate: 68 admissible branch data\n")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert {hurwitz.BranchData(**row["branch_data"]) for row in rows} == set(
+            cli.admissible_branch_data(5)
         )
+        quintic = {"n": 5, "x": [5], "y": [4, 1], "z": [1, 1, 1, 1, 1], "r": 1}
+        [row] = [row for row in rows if row["branch_data"] == quintic]
+        assert (row["h11"], row["h21"], row["euler"]) == (59, 3, 112)
 
-    def test_monotone_in_degree(self, capsys):
-        _, out4, _ = run(["enumerate", "--max-degree", "4", "--no-search"], capsys)
-        _, out5, _ = run(["enumerate", "--max-degree", "5", "--no-search"], capsys)
-        rows4 = set(out4.strip().splitlines())
-        rows5 = set(out5.strip().splitlines())
-        assert rows4 <= rows5
+    def test_monotone_in_degree(self):
+        assert set(cli.admissible_branch_data(4)) <= set(cli.admissible_branch_data(5))
 
-    def test_degree_eight_contains_regular_datum(self, capsys):
-        code, out, _ = run(["enumerate", "--max-degree", "8", "--no-search"], capsys)
-        assert code == 0
-        rows = [json.loads(line) for line in out.strip().splitlines()]
-        assert any(
-            row["branch_data"]
-            == {"n": 8, "x": [2, 2, 2, 2], "y": [4, 4], "z": [2, 2, 2, 2], "r": 0}
-            for row in rows
-        )
+    def test_degree_eight_contains_regular_datum(self):
+        regular = hurwitz.BranchData(n=8, x=(2, 2, 2, 2), y=(4, 4), z=(2, 2, 2, 2), r=0)
+        assert regular in cli.admissible_branch_data(8)
 
     @pytest.mark.parametrize("bound", [0, 9, 40])
     def test_bad_bound_rejected(self, capsys, bound):
@@ -304,7 +303,7 @@ class TestEnumerate:
             (["--limit", "0"], "--limit must be at least 1, got 0"),
             (["--limit", "-1", "--max-candidates", "-5"], "--limit must be at least 1, got -1"),
             (["--max-candidates", "-5"], "--max-candidates must be at least 1, got -5"),
-            (["--max-candidates", "0", "--no-search"], "--max-candidates must be at least 1, got 0"),
+            (["--max-candidates", "0"], "--max-candidates must be at least 1, got 0"),
         ],
     )
     def test_bad_search_limits_rejected(self, capsys, args, line):
@@ -333,42 +332,35 @@ class TestEnumerate:
         assert sorted(brute, key=lambda b: (b.n, b.x, b.y, b.z, b.r)) == catalog
 
 
-class TestMonodromy:
-    @pytest.mark.parametrize(
-        "args, line",
-        [
-            (["--steps", "0"], "--steps must be at least 1, got 0"),
-            (["--steps", "-3"], "--steps must be at least 1, got -3"),
-            (["--precision", "0"], "--precision must be at least 1, got 0"),
-            (["--precision", "-1", "--steps", "0"], "--precision must be at least 1, got -1"),
-        ],
-    )
-    def test_bad_tracker_settings_rejected(self, capsys, monkeypatch, args, line):
-        def no_tracking(**kwargs):
-            raise AssertionError("tracker started on refused settings")
+@pytest.mark.parametrize(
+    "args, unrecognized",
+    [
+        (["monodromy", "--precision", "16"], "--precision 16"),
+        (["monodromy", "--steps", "8"], "--steps 8"),
+        (["enumerate", "--max-degree", "3", "--no-search"], "--no-search"),
+        (["fibers", "--max-x", "4"], "--max-x 4"),
+    ],
+    ids=["precision", "steps", "no-search", "max-x"],
+)
+def test_removed_flags_exit_2(capsys, monkeypatch, args, unrecognized):
+    def no_tracking(**kwargs):
+        raise AssertionError("tracker started")
 
-        monkeypatch.setattr(cli.monodromy, "puncture_table", no_tracking)
-        code, out, err = run(["monodromy", *args], capsys)
-        assert (code, out, err) == (2, "", f"monodromy: {line}\n")
-
-    @pytest.mark.parametrize("bits", [1, 2, 3])
-    def test_precision_too_coarse_for_the_base_solve(self, capsys, bits):
-        code, out, err = run(["monodromy", "--precision", str(bits), "--steps", "8"], capsys)
-        assert (code, out) == (2, "")
-        assert err == f"monodromy: --precision {bits} is too coarse for the base-point solve\n"
-
-    def test_coarsest_precision_that_polishes(self, capsys):
-        code, out, err = run(["monodromy", "--precision", "4", "--steps", "8"], capsys)
-        assert (code, err) == (0, "")
-        assert out.startswith("base point        lambda = -257/256, precision 4 bits\n")
-        assert out.endswith("reference match   via relabeling (4 6)\n")
+    monkeypatch.setattr(cli.monodromy, "puncture_table", no_tracking)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(args)
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(f"kumfib: error: unrecognized arguments: {unrecognized}\n")
 
 
 class TestFibers:
     def test_reference_tables(self, capsys):
-        code, out, _ = run(["fibers", "--max-x", "4"], capsys)
+        code, out, _ = run(["fibers"], capsys)
         assert code == 0
-        assert "x =  2:    6 components" in out
+        # x runs up to the degree bound, the largest x of any accepted datum
+        assert "x =  2:    6 components" in out and "x =  8:   66 components" in out
+        assert "x =  9" not in out
         assert "y = 1: 20 components" in out
         assert "cA_{z-1}" in out
 
@@ -398,6 +390,17 @@ class TestVerify:
         assert "'h11': 59, 'h21': 3, 'euler': 112" in lines[1]
         assert "'h11': 60, 'h21': 3, 'euler': 114" in lines[2]
 
+    def test_failure_names_only_the_differing_labels(self, capsys, monkeypatch):
+        # the whole multiplication table would be 3377 characters
+        monkeypatch.setattr(family, "ALPHA_LABELS", family.ALPHA_LABELS.inverse())
+        code, out, _ = run(["verify-paper", "--only", "deck-group"], capsys)
+        lines = out.splitlines()
+        assert code == 1
+        assert [line.split()[0] for line in lines] == ["FAIL", "expected:", "actual:", "0/1"]
+        for line in lines[1:3]:
+            assert "{'printed label actions': (Permutation[" in line
+            assert "'products'" not in line and "'relations'" not in line
+
 
 SYMPY_FREE_SCRIPT = """
 import contextlib, io, sys
@@ -412,7 +415,7 @@ runs = [
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(args) for args in runs]
     mpmath_before_monodromy = "mpmath" in sys.modules
-    codes.append(cli.main(["monodromy", "--steps", "8"]))
+    codes.append(cli.main(["monodromy"]))
 print(codes, "sympy" in sys.modules, mpmath_before_monodromy)
 """
 
@@ -543,6 +546,7 @@ _malformed_text = st.sampled_from(
         '{"cover": {"degree": 2}, "branch_data": {}}',
         '{"cover": {"degree": 2}, "options": []}',
         '{"cover": {"degree": 2}, "options": {"precision_bits": 16}}',
+        '{"cover": {"degree": 2}, "optoins": {}}',
     ]
 )
 

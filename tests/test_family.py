@@ -25,13 +25,12 @@ class TestParameterMaps:
             family.params_of_lambda(0)
 
     def test_one_family_instance(self):
-        fam = family.lambda_family()
-        assert family.lambda_family() is fam
+        fam = family.LAMBDA_FAMILY
         maps = (fam.a_of_lambda, fam.b_of_lambda, fam.d_of_lambda)
         assert all(m is f for m, f in zip(monodromy._MAPS, maps, strict=True))
 
     def test_closed_forms_match_normalized_invariants(self):
-        fam = family.lambda_family()
+        fam = family.LAMBDA_FAMILY
         lam = NU
         a_norm = fam.a_of_lambda / lam  # d = lam^3 has cube root lam
         b_sq = fam.b_of_lambda**2 / fam.d_of_lambda
@@ -41,7 +40,7 @@ class TestParameterMaps:
         assert pi == fam.pi_of_lambda
 
     def test_pointwise_agreement_at_one(self):
-        fam = family.lambda_family()
+        fam = family.LAMBDA_FAMILY
         a_norm, b_sq = normalize(family.params_of_lambda(1))
         sp = sigma_pi(a_norm, F(647, 1728))
         assert sp.sigma == fam.sigma_of_lambda(F(1))
@@ -52,7 +51,7 @@ class TestParameterMaps:
         # must agree at every rational parameter, negative values included
         import random
 
-        fam = family.lambda_family()
+        fam = family.LAMBDA_FAMILY
         rng = random.Random(3)
         for _ in range(20):
             lam = F(rng.randint(-40, 40), rng.randint(1, 12))

@@ -23,11 +23,11 @@ from kumfib.hodge import (
     smoothness,
 )
 from kumfib.hurwitz import (
+    C2_COMPONENTS,
     MAX_SEARCH_DEGREE,
     BranchData,
     HurwitzCover,
     InvalidCoverError,
-    c2_components,
     pullback,
     regular_deck_cover,
 )
@@ -206,9 +206,9 @@ class TestPipeline:
         assert fixed_curve(regular_deck_cover()) == (0,) * 8
 
     def test_each_distinct_component_pulled_back_once(self, monkeypatch):
-        # c2_components() is (double, double, quadruple): two pullbacks, not three
+        # C2_COMPONENTS is (double, double, quadruple): two pullbacks, not three
         g = regular_deck_cover()
-        reports = [r for c in c2_components() for r in pullback(c, g)]
+        reports = [r for c in C2_COMPONENTS for r in pullback(c, g)]
         calls = []
         monkeypatch.setattr(hodge, "pullback", lambda *a: calls.append(a) or pullback(*a))
         genera = fixed_curve(g)

@@ -9,10 +9,11 @@ from collections import Counter
 
 import pytest
 
-from kumfib import hurwitz
+from kumfib import hodge, hurwitz
 from kumfib.cli import admissible_branch_data
 from kumfib.hodge import CY_INFINITY_PROFILES
 from kumfib.hurwitz import (
+    C2_COMPONENTS,
     MAX_SEARCH_DEGREE,
     BranchData,
     HurwitzCover,
@@ -23,7 +24,6 @@ from kumfib.hurwitz import (
     _permutations_of_type,
     _surgery_hits,
     branch_data_of,
-    c2_components,
     canonical_key,
     genus,
     partitions,
@@ -57,7 +57,7 @@ class TestValidate:
             HurwitzCover(2, zero=perm(2, (1, 2)))
 
     def test_quadruple_component_ok(self):
-        quad = c2_components()[2]
+        quad = C2_COMPONENTS[2]
         assert validate(quad) == []
 
     def test_disconnected_flagged(self):
@@ -105,7 +105,7 @@ class TestGenus:
         assert genus(cover) == 0
 
     def test_c2_components(self):
-        assert [genus(c) for c in c2_components()] == [0, 0, 0]
+        assert [genus(c) for c in C2_COMPONENTS] == [0, 0, 0]
 
     def test_quintic_normalization_profiles(self):
         # degree 4 with [2,2], [4], [1,1,1,1] over the marks and five simple
@@ -160,7 +160,7 @@ class TestPartitions:
 
 class TestPullback:
     def test_identity_pullback_returns_the_cover(self):
-        quad = c2_components()[2]
+        quad = C2_COMPONENTS[2]
         identity_cover = HurwitzCover(1)
         reports = pullback(quad, identity_cover)
         assert len(reports) == 1
@@ -174,7 +174,7 @@ class TestPullback:
     def test_regular_cover_pullback_components(self):
         cover = regular_deck_cover()
         counts = []
-        for component in c2_components():
+        for component in C2_COMPONENTS:
             reports = pullback(component, cover)
             counts.append(len(reports))
             assert all(r.genus == 0 for r in reports)
@@ -182,7 +182,7 @@ class TestPullback:
         assert counts == [2, 2, 4]  # eight components in total
 
     def test_relabeling_invariance(self):
-        quad = c2_components()[2]
+        quad = C2_COMPONENTS[2]
         rho = perm(4, (1, 2, 3))
         conjugated = HurwitzCover(
             4,
@@ -231,7 +231,7 @@ class TestPullback:
 
     def test_disconnected_cover_accepted(self):
         # pullback needs covers, not connected ones: two sheets, two components
-        quad = c2_components()[2]
+        quad = C2_COMPONENTS[2]
         reports = pullback(quad, HurwitzCover(2))
         assert [r.degree for r in reports] == [4, 4]
 
@@ -243,7 +243,7 @@ class TestPullback:
     def test_mark_merge_with_extras(self):
         data = BranchData(n=5, x=(5,), y=(4, 1), z=(1, 1, 1, 1, 1), r=1)
         cover = search_tuples(data).covers[0]
-        reports = pullback(c2_components()[0], cover)
+        reports = pullback(C2_COMPONENTS[0], cover)
         assert len(reports) == 1
         assert reports[0].degree == 10
         assert reports[0].genus == 0
@@ -252,19 +252,20 @@ class TestPullback:
 
 class TestC2Components:
     def test_built_once(self):
-        assert c2_components() is c2_components()
+        # a constant built at import, the very tuple the Hodge pipeline pulls back
+        assert hodge.C2_COMPONENTS is C2_COMPONENTS
 
     def test_degrees_and_total(self):
-        comps = c2_components()
+        comps = C2_COMPONENTS
         assert tuple(c.degree for c in comps) == (2, 2, 4)
         assert sum(c.degree for c in comps) == 8
 
     def test_profiles(self):
-        quad = c2_components()[2]
+        quad = C2_COMPONENTS[2]
         assert quad.quarter256.cycle_type() == (2, 1, 1)
         assert quad.zero.cycle_type() == (2, 2)
         assert quad.infinity.cycle_type() == (4,)
-        double = c2_components()[0]
+        double = C2_COMPONENTS[0]
         assert double.zero.cycle_type() == (2,)
         assert double.infinity.cycle_type() == (2,)
         assert double.quarter256.cycle_type() == (1, 1)

@@ -30,7 +30,7 @@ class TestBaseConfiguration:
         roots = base_configuration(128)
         assert isinstance(roots, tuple) and len(roots) == 6
         lam = monodromy.BASE_POINT
-        fam = family.lambda_family()
+        fam = family.LAMBDA_FAMILY
         a, b = fam.a_of_lambda(lam), fam.b_of_lambda(lam)
         with mpmath.workprec(128):
             for i in range(6):
@@ -43,6 +43,17 @@ class TestBaseConfiguration:
                 c = 4 * xi**3 - 3 * _mp(a) * xi - _mp(b)
                 sign = 1 if label <= 3 else -1
                 assert abs(c - sign * s32) < abs(c + sign * s32)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_precision_too_coarse_to_polish(self, monkeypatch, bits):
+        monkeypatch.setattr(monodromy, "_BASE_CACHE", {})
+        with pytest.raises(monodromy.CoarseSolveError, match=f"at {bits} bits too coarse"):
+            base_configuration(bits)
+
+    def test_coarsest_precision_that_polishes(self, tables, monkeypatch):
+        monkeypatch.setattr(monodromy, "_BASE_CACHE", {})
+        table = monodromy.puncture_table(precision_bits=4, initial_steps=8)
+        assert table.as_dict() == tables[256].as_dict()
 
     def test_sorted_within_triples(self):
         with mpmath.workprec(128):
@@ -184,14 +195,10 @@ class TestHighPrecisionOracle:
                 tracked = monodromy._track_pieces(prefix, roots, 64, safety)
                 _assert_near_oracle(tracked, piece(frac))
 
-    def test_coarse_solve_and_steps_reproduce_the_table(self, capsys):
-        code = cli.main(["monodromy", "--precision", "16", "--steps", "8"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "loop around zero        (1 6)(2 5)(3 4)" in out
-        assert "loop around quarter256  (1 2)" in out
-        assert "loop around infinity    (1 5 2 6)(3 4)" in out
-        assert "reference match   via relabeling (4 6)" in out
+    def test_coarse_solve_and_steps_reproduce_the_table(self, tables, monkeypatch):
+        monkeypatch.setattr(monodromy, "_BASE_CACHE", {})
+        table = monodromy.puncture_table(precision_bits=16, initial_steps=8)
+        assert table.as_dict() == tables[256].as_dict()
 
 
 class TestOneStep:
@@ -205,13 +212,8 @@ class TestOneStep:
         assert one == two
         assert not one.is_identity
 
-    def test_cli_one_step_reproduces_the_table(self, capsys):
-        code = cli.main(["monodromy", "--steps", "1"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "loop around zero        (1 6)(2 5)(3 4)" in out
-        assert "loop around quarter256  (1 2)" in out
-        assert "loop around infinity    (1 5 2 6)(3 4)" in out
+    def test_one_step_reproduces_the_table(self, tables):
+        assert monodromy.puncture_table(initial_steps=1).as_dict() == tables[256].as_dict()
 
 
 class TestBigCircleCheck:
@@ -233,7 +235,7 @@ class TestBigCircleCheck:
             monodromy.puncture_table(initial_steps=8)
 
     def test_cli_exits_1(self, disagreeing_infinity, capsys):
-        code = cli.main(["monodromy", "--steps", "8"])
+        code = cli.main(["monodromy"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert captured.err.startswith("monodromy failed: big-circle check failed: id vs ")
