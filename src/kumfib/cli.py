@@ -339,7 +339,7 @@ def cmd_monodromy(args) -> int:
     except monodromy.MonodromyError as exc:
         sys.stderr.write(f"monodromy failed: {exc}\n")
         return EXIT_CHECK_FAILURE
-    rho = verification.find_relabeling(table)
+    rho = monodromy.find_relabeling(table)
     print(f"base point        lambda = {monodromy.BASE_POINT}, precision {monodromy.BASE_PRECISION_BITS} bits")
     for mark, perm in table.as_dict().items():
         print(f"loop around {mark:<11} {perm.cycle_string():<18} cycle type {list(perm.cycle_type())}")

@@ -112,6 +112,7 @@ def lambda_of_nu(nu):
 
 ALPHA_BASE: RationalFunction = RationalFunction.of((-1, 1), (1, 1))  # nu -> (nu-1)/(nu+1)
 BETA_BASE: RationalFunction = RationalFunction.of((0, -1))  # nu -> -nu
+IOTA_BASE: RationalFunction = RationalFunction.of((1, 1), (-1, 1))  # nu -> (nu+1)/(nu-1)
 
 ALPHA_LABELS = Permutation.from_cycles(6, [(1, 5, 2, 4), (3, 6)])
 BETA_LABELS = Permutation.from_cycles(6, [(1, 4), (2, 5), (3, 6)])
@@ -185,11 +186,8 @@ def e1_model() -> kodaira.WeierstrassFamily:
 
 def e2_model() -> kodaira.WeierstrassFamily:
     """The partner surface: the first model precomposed with nu -> (nu+1)/(nu-1)."""
-    q = RationalFunction.of((1, 1), (-1, 1))
     e1 = e1_model()
-    return kodaira.WeierstrassFamily(
-        a2=compose(e1.a2, q), a4=compose(e1.a4, q), a6=compose(e1.a6, q)
-    )
+    return kodaira.WeierstrassFamily(*(compose(f, IOTA_BASE) for f in (e1.a2, e1.a4, e1.a6)))
 
 
 # -- the affine Kummer hypersurface and its involutions ------------------------------
@@ -199,8 +197,8 @@ Involution = Literal["beta", "iota", "iota_prime"]
 #: Base maps on the nu-line covered by the three coordinate maps.
 INVOLUTION_BASE_MAPS: dict[str, RationalFunction] = {
     "beta": BETA_BASE,
-    "iota": RationalFunction.of((1, 1), (-1, 1)),  # nu -> (nu+1)/(nu-1)
-    "iota_prime": ALPHA_BASE,  # nu -> (nu-1)/(nu+1)
+    "iota": IOTA_BASE,
+    "iota_prime": ALPHA_BASE,
 }
 
 

@@ -308,13 +308,7 @@ def regular_deck_cover() -> HurwitzCover:
             images[i - 1] = index[gamma * e]
         return Permutation(images)
 
-    ginf = REFERENCE_TABLE["zero"].inverse() * REFERENCE_TABLE["quarter256"].inverse()
-    return HurwitzCover(
-        8,
-        quarter256=left_mult(REFERENCE_TABLE["quarter256"]),
-        infinity=left_mult(ginf),
-        zero=left_mult(REFERENCE_TABLE["zero"]),
-    )
+    return HurwitzCover(8, **{mark: left_mult(g) for mark, g in REFERENCE_TABLE.items()})
 
 
 # -- exhaustive tuple search -----------------------------------------------------

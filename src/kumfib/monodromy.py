@@ -20,18 +20,21 @@ relabeling):
   * base point lambda = -257/256; principal branch of lambda^{3/2} there;
   * labels 1..3 are the roots with C = +lambda^{3/2} (the "P - 1" triple),
     labels 4..6 the others, each triple sorted by (Re, Im) of x = xi/sqrt(lambda);
-  * loops are counterclockwise circles of radius half the distance to the
-    nearest other puncture, reached from the base point along the real axis,
-    detouring over lambda = 0 through the upper half-plane when heading to
-    lambda = 1/256;
+  * every loop goes out from the base point to the leftmost point c - r of
+    a circle about its puncture c, once around the circle counterclockwise,
+    and back along the way out reversed; r is half the distance to the
+    nearest other puncture.  The way out is the real segment, except to
+    lambda = 1/256, where it is the upper half of the circle with diameter
+    [base point, c - r] and so passes over lambda = 0;
   * the loop at infinity is the inverse of the finite-loop product (zero
-    last), cross-checked by direct tracking along |lambda| = 8 clockwise;
+    last), cross-checked by direct tracking along |lambda| = 8 clockwise
+    (the same template with c = 0 and r = 8);
   * permutations compose right-to-left, so sigma_0 o sigma_inf o sigma_c
     is the identity.
 
 With these conventions the tracker computes (16)(25)(34), (12), (1526)(34);
 the single relabeling swapping labels 4 and 6 carries all three onto the
-pinned REFERENCE_TABLE values simultaneously.
+pinned REFERENCE_TABLE values simultaneously (find_relabeling finds it).
 
 Arithmetic: mpmath's polyroots solves for the six base roots at
 BASE_PRECISION_BITS unless told otherwise (base_configuration is the one
@@ -49,6 +52,7 @@ functions, which verify-paper's step-stability check and the tests vary.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,14 +82,6 @@ BIG_RADIUS = 8
 
 class MonodromyError(RuntimeError):
     """Tracking failed in a way that invalidates the permutation."""
-
-
-class RootCollisionError(MonodromyError):
-    """Two tracked roots approached within the safety radius."""
-
-
-class StepUnderflowError(MonodromyError):
-    """Adaptive step size underflowed without meeting the movement bound."""
 
 
 class CoarseSolveError(MonodromyError):
@@ -135,13 +131,13 @@ def _C(xi, a, b):
     return ((4 * xi) * xi - 3 * a) * xi - b
 
 
-def _S_xi(xi, lam, a, b):
-    return 2 * _C(xi, a, b) * (12 * xi * xi - 3 * a)
-
-
-def _S_lam(xi, lam, a, b):
+def _predict(xi, lam, a, b, dlam):
+    """Euler's step xi - (S_lam / S_xi) dlam along the root of S(., lam) at xi."""
+    c2 = 2 * _C(xi, a, b)
     # dC/dlambda = -3 a'(lambda) xi - b'(lambda); d'(lambda) = 3 lambda^2
-    return 2 * _C(xi, a, b) * (-3 * _A1 * xi - _B1) - 3 * lam * lam
+    s_lam = c2 * (-3 * _A1 * xi - _B1) - 3 * lam * lam
+    s_xi = c2 * (12 * xi * xi - 3 * a)
+    return xi - s_lam / s_xi * dlam
 
 
 def _newton(xi, lam, a, b):
@@ -236,55 +232,47 @@ def _arc(center, radius, th0, th1):
 
 
 def _loop_pieces(spec: LoopSpec):
+    """The loop as three pieces: out from BASE_POINT to c - r, the circle, back.
+
+    c is the puncture (0 for the loop at infinity) and r the resolved
+    radius.  Out is the real segment while c - r lies left of 0, and
+    otherwise the upper half of the circle with diameter [BASE_POINT, c - r],
+    which passes over lambda = 0 and comes nearest a puncture, at distance r,
+    only at its end.  Back is out reversed.
+    """
     if spec.center != INFINITY and spec.center not in PUNCTURES:
         raise MonodromyError(
             f"loops are defined around the punctures {PUNCTURES} or infinity, "
             f"not {spec.center}"
         )
     base = float(BASE_POINT)
-    pi = math.pi
     r = float(spec.resolved_radius())
-    if spec.center in (0, INFINITY):
-        # Around infinity the circle runs clockwise: counterclockwise seen from infinity.
-        end = -pi if spec.center == INFINITY else 3 * pi
-        return [_segment(base, -r), _arc(0, r, pi, end), _segment(-r, base)]
-    c = float(spec.center)
-    # Loop around 1/256: detour over 0 through the upper half-plane.
-    d = 1 / 512
-    out = [
-        _segment(base, -d),
-        _arc(0, d, pi, 0),
-        _segment(d, c - r),
-    ]
-    circle = [_arc(c, r, pi, 3 * pi)]
-    back = [
-        _segment(c - r, d),
-        _arc(0, d, 0, pi),
-        _segment(-d, base),
-    ]
-    return out + circle + back
+    c = 0.0 if spec.center == INFINITY else float(spec.center)
+    left = c - r
+    if left < 0:
+        out = _segment(base, left)
+    else:
+        out = _arc((base + left) / 2, (left - base) / 2, math.pi, 0)
+    # Around infinity the circle runs clockwise: counterclockwise seen from infinity.
+    end = -math.pi if spec.center == INFINITY else 3 * math.pi
+    return [out, _arc(c, r, math.pi, end), lambda t: out(1 - t)]
 
 
 # -- the tracker ----------------------------------------------------------------
 
 
 def _min_pairwise(roots):
-    best = None
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            d = abs(roots[i] - roots[j])
-            if best is None or d < best:
-                best = d
-    return best
+    return min(abs(p - q) for p, q in itertools.combinations(roots, 2))
 
 
 def _track_pieces(pieces, roots, initial_steps, safety_radius):
     """Continue the root list along the concatenated path pieces.
 
-    Every piece starts at max(initial_steps, 2) subdivisions (the maximum step
-    size; one step around a full circle would end where it started); steps
-    shrink adaptively wherever the movement bound demands it and grow back,
-    never beyond the maximum.
+    A loop from _loop_pieces is three pieces: out, the circle and back.
+    Every piece starts at max(initial_steps, 2) subdivisions (the maximum
+    step size; one step around a full circle would end where it started);
+    steps shrink adaptively wherever the movement bound demands it and grow
+    back, never beyond the maximum.
     """
     roots = list(roots)
     for path in pieces:
@@ -299,7 +287,7 @@ def _track_pieces(pieces, roots, initial_steps, safety_radius):
         prev_min = _min_pairwise(roots)
         while t < 1:
             if accepted > step_budget:
-                raise RootCollisionError(
+                raise MonodromyError(
                     "step budget exhausted while separations kept shrinking; "
                     "the path runs into a root degeneracy"
                 )
@@ -312,9 +300,8 @@ def _track_pieces(pieces, roots, initial_steps, safety_radius):
                 candidate = []
                 ok = True
                 for xi in roots:
-                    pred = xi - _S_lam(xi, lam, a, b) / _S_xi(xi, lam, a, b) * dlam
                     try:
-                        cor = _newton(pred, lam2, a2, b2)
+                        cor = _newton(_predict(xi, lam, a, b, dlam), lam2, a2, b2)
                     except MonodromyError:
                         ok = False
                         break
@@ -325,7 +312,7 @@ def _track_pieces(pieces, roots, initial_steps, safety_radius):
                 if ok:
                     new_min = _min_pairwise(candidate)
                     if new_min < safety_radius:
-                        raise RootCollisionError(
+                        raise MonodromyError(
                             f"roots within {new_min:.5g} near lambda = "
                             f"{lam2:.8g}; radius too large or degenerate family"
                         )
@@ -337,7 +324,7 @@ def _track_pieces(pieces, roots, initial_steps, safety_radius):
                     break
                 step = step / 2
                 if step < dt_floor:
-                    raise StepUnderflowError("step size underflowed during tracking")
+                    raise MonodromyError("step size underflowed during tracking")
     return roots
 
 
@@ -465,3 +452,20 @@ def deck_parity(tau: Permutation) -> DeckParity:
     if image_one == BLOCK_TWO:
         return DeckParity(verdict="not_in_H", odd=odd, block_image="swapped")
     return DeckParity(verdict="not_in_H", odd=odd, block_image="broken")
+
+
+def find_relabeling(table: PunctureTable) -> Permutation | None:
+    """The relabeling that conjugates the table onto REFERENCE_TABLE, or None.
+
+    Candidates keep the pair of triples BLOCK_ONE, BLOCK_TWO (acting within
+    each, possibly swapping them); the first match in lexicographic order of
+    the images is returned, so the choice is deterministic and documentable.
+    """
+    computed = table.as_dict()
+    for images in itertools.permutations(range(1, 7)):
+        if frozenset(images[:3]) not in (BLOCK_ONE, BLOCK_TWO):
+            continue
+        rho = Permutation(images)
+        if all(computed[mark].conjugate_by(rho) == p for mark, p in REFERENCE_TABLE.items()):
+            return rho
+    return None

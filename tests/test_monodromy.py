@@ -129,13 +129,26 @@ class TestLoops:
             assert tables[steps].as_dict() == reference
 
     def test_reference_match_after_single_relabeling(self, tables):
-        rho = verification.find_relabeling(tables[256])
+        rho = monodromy.find_relabeling(tables[256])
         assert rho is not None
         conj = {
             mark: perm.conjugate_by(rho)
             for mark, perm in tables[256].as_dict().items()
         }
         assert conj == monodromy.REFERENCE_TABLE
+
+    def test_relabeling_is_the_first_that_keeps_the_triples(self, tables):
+        # the module docstring names (4 6); brute force over all 720 labelings
+        # in lexicographic order of their images
+        table = tables[256].as_dict()
+        first = next(
+            rho
+            for rho in map(Permutation, itertools.permutations(range(1, 7)))
+            if deck_parity(rho).block_image != "broken"
+            and all(table[m].conjugate_by(rho) == p for m, p in monodromy.REFERENCE_TABLE.items())
+        )
+        assert first == Permutation.from_cycles(6, [(4, 6)])
+        assert monodromy.find_relabeling(tables[256]) == first
 
     def test_cycle_types_invariant_under_relabeling(self, tables):
         # re-sorting base labels conjugates every loop permutation, so the
@@ -151,6 +164,32 @@ class TestLoops:
         assert len(group) == 8  # dihedral, matching the deck group
         parts = orbits(6, [t.around_zero, t.around_quarter256])
         assert sorted(len(o) for o in parts) == [2, 4]  # not transitive
+
+
+class TestLoopTemplate:
+    """Every loop is out to the circle's leftmost point, the circle, and out reversed."""
+
+    @pytest.mark.parametrize("center", [F(0), F(1, 256), monodromy.INFINITY])
+    def test_out_around_and_back(self, center):
+        spec = LoopSpec(center=center)
+        pieces = monodromy._loop_pieces(spec)
+        assert len(pieces) == 3
+        out, circle, back = pieces
+        base = float(monodromy.BASE_POINT)
+        assert out(0) == pytest.approx(base, abs=1e-12) and back(1) == pytest.approx(base, abs=1e-12)
+        assert all(p(1) == pytest.approx(q(0), abs=1e-12) for p, q in zip(pieces, pieces[1:]))
+        ts = [k / 64 for k in range(65)]
+        assert all(back(t) == out(1 - t) for t in ts)
+        c = 0 if center == monodromy.INFINITY else float(center)
+        r = float(spec.resolved_radius())
+        assert circle(0) == pytest.approx(c - r, abs=1e-12)
+        assert all(abs(circle(t) - c) == pytest.approx(r, rel=1e-12) for t in ts)
+        # counterclockwise about a finite puncture, clockwise about infinity
+        assert (circle(0.25).imag < 0) == (center != monodromy.INFINITY)
+        if center != monodromy.INFINITY:
+            # the way out and back comes no nearer a puncture than the circle
+            for p in monodromy.PUNCTURES:
+                assert min(abs(piece(t) - float(p)) for piece in (out, back) for t in ts) > r * (1 - 1e-12)
 
 
 def _oracle_roots(lam):

@@ -2,8 +2,9 @@
 
 perfbench wraps kumfib's layer functions by name, clears its caches and
 checks its catalog; a rename or deletion of any of those names would only
-show when the benchmark runs.  These calls fail fast instead.  (Generating a
-workload is left out: it replaces hodge.search_tuples for good.)
+show when the benchmark runs.  These calls fail fast instead.  Of the
+workloads only `paper` is generated here: `catalog` and `reports` replace
+hodge.search_tuples for good.
 """
 
 import sys
@@ -31,3 +32,16 @@ def test_tracing_installs_and_uninstalls():
 def test_caches_reset_and_catalog_checked():
     workloads.reset_caches(kumfib)
     workloads.check_catalog(kumfib)
+
+
+def test_paper_loop_tables_pass_the_benchmark_oracle(tmp_path):
+    # the benchmark's loop-table gate: the same table at 64, 128 and 256
+    # steps, the product relation, and the infinity loop tracked directly
+    workload = workloads.paper(kumfib, 0, tmp_path)
+    checks = [op for op in workload.ops if op.name.startswith("verification.check.")]
+    assert checks and {op.key for op in checks} <= set(kumfib.verification.check_keys())
+    loops = [op for op in workload.ops if op.name.startswith("monodromy.loop_table.")]
+    assert [op.name for op in loops] == [f"monodromy.loop_table.{s}" for s in workloads.STEP_SCALES]
+    for op in loops:
+        assert op.check(op.call()) is False
+    workload.finish_round()
