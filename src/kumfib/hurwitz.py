@@ -35,6 +35,7 @@ from .monodromy import REFERENCE_TABLE
 from .permutations import (
     Permutation,
     compose_all,
+    cycles_of,
     group_closure,
     is_transitive,
     orbits,
@@ -221,22 +222,16 @@ def pullback(base_cover: HurwitzCover, g: HurwitzCover) -> list[ComponentReport]
     Both covers live over the same marked line; their extra branch points
     are treated as distinct.  Both are well formed by construction and need
     not be connected.  The product representation acts on label pairs
-    (i, j) in {1..d} x {1..n}; orbits are the components, and each cycle of a
-    generator lies in one orbit and adds its length to that orbit's profile
-    (a pair of local indices e, e' meets in gcd(e, e') points of index
-    lcm(e, e')); the genus comes from Riemann-Hurwitz.
+    (i, j) in {1..d} x {1..n}, numbered (i - 1) n + j; orbits are the
+    components, and each cycle of a generator lies in one orbit and adds its
+    length to that orbit's profile (a pair of local indices e, e' meets in
+    gcd(e, e') points of index lcm(e, e')); the genus comes from
+    Riemann-Hurwitz.
     """
     d, n = base_cover.degree, g.degree
 
-    def pair_index(i: int, j: int) -> int:
-        return (i - 1) * n + j
-
     def pair_perm(pa: Permutation, pb: Permutation) -> Permutation:
-        images = [0] * (d * n)
-        for i in range(1, d + 1):
-            for j in range(1, n + 1):
-                images[pair_index(i, j) - 1] = pair_index(pa(i), pb(j))
-        return Permutation(images)
+        return Permutation((a - 1) * n + b for a in pa.images for b in pb.images)
 
     generators = {
         mark: pair_perm(getattr(base_cover, mark), getattr(g, mark)) for mark in SPECIAL_MARKS
@@ -419,11 +414,11 @@ def search_tuples(
     n! permutations.  A hit is a candidate whose sigma_0 has cycle type x;
     only hits become Permutation objects.
 
-    With r >= 1 no candidate is tested one by one: for each prefix of r - 1
-    extras and each class element the cycles of one permutation w are walked
-    once, and the last transpositions that give type x are read off them
-    (`_surgery_hits`).  With r = 0 each class element is tested directly,
-    by the same cycle walk (`_direct_hits`).
+    No candidate is tested one by one: for each prefix of r - 1 extras (the
+    empty prefix when r = 0) and each class element the cycles of one
+    permutation w are walked once, and the moves to type x are read off them
+    (`_hits`): the last transpositions that give type x, or with r = 0 no
+    move, when w already has type x.
 
     Repeats are recognised without `canonical_key`: two candidates are
     simultaneously conjugate exactly when an element of the centralizer of
@@ -437,12 +432,12 @@ def search_tuples(
     `max_candidates` would be examined, i.e. exactly when the
     P^r |class| candidates (P transpositions) exceed `max_candidates`.
     """
+    if not b.admits_rational_cover():
+        return SearchResult(covers=(), truncated=False)
     if b.n > MAX_SEARCH_DEGREE:
         raise HurwitzError(
             f"exhaustive search supports degree at most {MAX_SEARCH_DEGREE}"
         )
-    if not b.admits_rational_cover():
-        return SearchResult(covers=(), truncated=False)
 
     n = b.n
     sigma_inf = _canonical_representative(n, b.y)
@@ -451,10 +446,7 @@ def search_tuples(
     transpositions = [Permutation.from_cycles(n, [pair]) for pair in pairs]
     sigma_inf_inv = sigma_inf.inverse()
 
-    if b.r == 0:
-        hits = _direct_hits(sigma_inf, z_class, b.x, max_candidates)
-    else:
-        hits = _surgery_hits(sigma_inf, z_class, b.x, b.r, max_candidates)
+    hits = _hits(sigma_inf, z_class, b.x, b.r, max_candidates)
     # sigma_0 = lead sigma_c^-1 sigma_inf^-1 with lead = t_1 ... t_r, and
     # v = lead^-1 sigma_inf = t_r ... t_1 sigma_inf, so sigma_0 = sigma_inf q^-1 sigma_inf^-1
     # with q = sigma_c v.
@@ -532,22 +524,7 @@ def _centralizer(n: int, cycle_type: tuple[int, ...]) -> tuple[tuple[int, ...], 
     return tuple(sorted(elements))
 
 
-def _direct_hits(sigma_inf: Permutation, z_class, x: tuple[int, ...], budget: int):
-    """(index, sigma_c, v) for each candidate with no extras whose sigma_0 has type x.
-
-    v = sigma_inf as the list of v(p) - 1; q = sigma_c v is conjugate to
-    sigma_0^-1 and to w = v sigma_c, so sigma_0 has the cycle type of w.
-    """
-    v = [p - 1 for p in sigma_inf.images]
-    v_at = [0, *v].__getitem__  # v_at(s) = v(s) - 1 for s in 1..n
-    shape = sorted(x)
-    for sigma_c in z_class[:budget]:
-        cycles = _cycles(list(map(v_at, sigma_c.images)))
-        if len(cycles) == len(shape) and sorted(map(len, cycles)) == shape:
-            yield (), sigma_c, v
-
-
-def _surgery_hits(sigma_inf: Permutation, z_class, x: tuple[int, ...], r: int, budget: int):
+def _hits(sigma_inf: Permutation, z_class, x: tuple[int, ...], r: int, budget: int):
     """(index, sigma_c, v) for each candidate within budget whose sigma_0 has type x, in order.
 
     With u = t_(r-1) ... t_1 sigma_inf from the prefix stack and v = t_r u,
@@ -558,14 +535,17 @@ def _surgery_hits(sigma_inf: Permutation, z_class, x: tuple[int, ...], r: int, b
     of w's cycles gives every t_r that makes type x: w must have len(x) + 1
     or len(x) - 1 cycles and differ from x by one such move (`_move_to`).
     Candidate number (prefix P + k) |class| + class index, for the k-th of
-    the P transpositions, fixes the order and the budget.
+    the P transpositions, fixes the order and the budget.  With r = 0 the
+    prefix is empty, v = u = sigma_inf, the candidate number is the class
+    index, and the last move is no move: w must have type x itself.
     """
     n, size = len(sigma_inf.images), len(z_class)
     pairs, pair_number = _pairs(n)
-    per_prefix = len(pairs) * size
-    cycle_counts = {len(x) - 1, len(x) + 1}  # a transposition changes the count by one
+    per_prefix = len(pairs) * size if r else size
+    # a transposition changes the count by one; no move keeps it
+    cycle_counts = {len(x) - 1, len(x) + 1} if r else {len(x)}
     moves: dict[tuple[int, ...], tuple[str, int, int] | None] = {}
-    for number, (prefix, u) in enumerate(_extras_composites(sigma_inf, pairs, r - 1)):
+    for number, (prefix, u) in enumerate(_extras_composites(sigma_inf, pairs, max(r - 1, 0))):
         base = number * per_prefix
         if base >= budget:
             return
@@ -573,7 +553,7 @@ def _surgery_hits(sigma_inf: Permutation, z_class, x: tuple[int, ...], r: int, b
         local = []  # k |class| + class index of each hit
         for ci, sigma_c in enumerate(z_class):
             w = list(map(u_at, sigma_c.images))  # w(p) - 1 at p - 1
-            cycles = _cycles(w)
+            cycles = cycles_of(w)
             if len(cycles) not in cycle_counts:
                 continue
             shape = tuple(sorted(map(len, cycles)))
@@ -583,7 +563,9 @@ def _surgery_hits(sigma_inf: Permutation, z_class, x: tuple[int, ...], r: int, b
             if move is None:
                 continue
             kind, a, b = move
-            if kind == "join":
+            if kind == "stay":
+                local.append(ci)
+            elif kind == "join":
                 first = [c for c in cycles if len(c) == a]
                 second = first if a == b else [c for c in cycles if len(c) == b]
                 for ai, ca in enumerate(first):
@@ -602,36 +584,24 @@ def _surgery_hits(sigma_inf: Permutation, z_class, x: tuple[int, ...], r: int, b
         for hit in local:
             if base + hit >= budget:
                 return
-            k, ci = divmod(hit, size)
-            yield prefix + (k,), z_class[ci], _after(pairs[k], u)
-
-
-def _cycles(w: list[int]) -> list[list[int]]:
-    """The cycles of the permutation p -> w[p] of 0..n-1, each in cycle order."""
-    out = []
-    visited = [False] * len(w)
-    for start in range(len(w)):
-        if visited[start]:
-            continue
-        cycle = [start]
-        visited[start] = True
-        p = w[start]
-        while p != start:
-            cycle.append(p)
-            visited[p] = True
-            p = w[p]
-        out.append(cycle)
-    return out
+            if r:
+                k, ci = divmod(hit, size)
+                yield prefix + (k,), z_class[ci], _after(pairs[k], u)
+            else:
+                yield prefix, z_class[hit], u
 
 
 def _move_to(shape: tuple[int, ...], x: tuple[int, ...]) -> tuple[str, int, int] | None:
-    """The one transposition move from cycle type `shape` to x, or None.
+    """The one move from cycle type `shape` to x, or None.
 
+    ("stay", 0, 0): no move, shape is x already;
     ("join", a, b): join a cycle of length a with one of length b;
     ("split", L, d): split a cycle of length L into lengths d and L - d.
     """
     gained = sorted((Counter(x) - Counter(shape)).elements())
     lost = sorted((Counter(shape) - Counter(x)).elements())
+    if not gained and not lost:
+        return ("stay", 0, 0)
     if len(gained) == 1 and len(lost) == 2 and gained[0] == sum(lost):
         return ("join", lost[0], lost[1])
     if len(gained) == 2 and len(lost) == 1 and lost[0] == sum(gained):

@@ -98,26 +98,15 @@ class Permutation:
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its least point, sorted."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            j = self(start)
-            while j != start:
-                cyc.append(j)
-                seen[j - 1] = True
-                j = self(j)
-            if len(cyc) > 1 or include_fixed:
-                out.append(tuple(cyc))
-        return out
+        return [
+            tuple(p + 1 for p in cycle)
+            for cycle in cycles_of([i - 1 for i in self.images])
+            if include_fixed or len(cycle) > 1
+        ]
 
     def cycle_type(self) -> tuple[int, ...]:
         """Partition of n by cycle lengths, largest first."""
-        lengths = [len(c) for c in self.cycles(include_fixed=True)]
-        return tuple(sorted(lengths, reverse=True))
+        return tuple(sorted(map(len, cycles_of([i - 1 for i in self.images])), reverse=True))
 
     @property
     def is_odd(self) -> bool:
@@ -135,6 +124,24 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation[{self.cycle_string()}]"
+
+
+def cycles_of(w: list[int]) -> list[list[int]]:
+    """The cycles of the permutation p -> w[p] of 0..n-1, in cycle order, by least point."""
+    out = []
+    visited = [False] * len(w)
+    for start in range(len(w)):
+        if visited[start]:
+            continue
+        cycle = [start]
+        visited[start] = True
+        p = w[start]
+        while p != start:
+            cycle.append(p)
+            visited[p] = True
+            p = w[p]
+        out.append(cycle)
+    return out
 
 
 def compose_all(perms, degree: int) -> Permutation:

@@ -248,6 +248,13 @@ class TestPipeline:
         assert reports[0].unsupported == "no transitive monodromy tuple realizes this branch data"
         assert reports[0].s is None
 
+    def test_data_failing_riemann_hurwitz_past_the_degree_bound_is_unrealized(self):
+        # total ramification 24, not 2n - 2 = 16: empty before the bound applies
+        b = BranchData(n=9, x=(9,), y=(9,), z=(9,), r=0)
+        [r] = analyze_branch_data(b)
+        assert r.unsupported == "no transitive monodromy tuple realizes this branch data"
+        assert (r.s, r.search_truncated) == (None, False)
+
     def test_euler_consistency_across_catalog(self):
         from kumfib.cli import admissible_branch_data
 

@@ -21,8 +21,8 @@ from kumfib.hurwitz import (
     SearchResult,
     _canonical_representative,
     _centralizer,
+    _hits,
     _permutations_of_type,
-    _surgery_hits,
     branch_data_of,
     canonical_key,
     genus,
@@ -313,21 +313,39 @@ class TestSearchTuples:
         assert result.truncated
 
 
+#: Per datum, the candidates made so far and the iterator that makes the
+#: rest, so the search tests of this module share one enumeration.
+_CANDIDATES = {}
+
+
 def reference_candidates(b):
     """(extras, sigma_c, sigma_0) for every candidate of the search, in its order.
 
     Extras in itertools.product order, the class over 1/256 inside, sigma_0
-    from the product relation, all as Permutation objects.
+    from the product relation, all as Permutation objects.  Each candidate
+    is made once and replayed to every later caller with the same datum.
     """
+    made, rest = _CANDIDATES.setdefault(b, ([], _fresh_candidates(b)))
+    for i in itertools.count():
+        if i == len(made):
+            candidate = next(rest, None)
+            if candidate is None:
+                return
+            made.append(candidate)
+        yield made[i]
+
+
+def _fresh_candidates(b):
     n = b.n
-    sigma_inf = _canonical_representative(n, b.y)
+    sigma_inf_inv = _canonical_representative(n, b.y).inverse()
     transpositions = [Permutation.from_cycles(n, [pair]) for pair in itertools.combinations(range(1, n + 1), 2)]
+    tails = [(sigma_c, sigma_c.inverse() * sigma_inf_inv) for sigma_c in _permutations_of_type(n, b.z)]
     for extras in itertools.product(transpositions, repeat=b.r):
         lead = Permutation.identity(n)
         for tau in extras:
             lead = lead * tau
-        for sigma_c in _permutations_of_type(n, b.z):
-            yield extras, sigma_c, lead * sigma_c.inverse() * sigma_inf.inverse()
+        for sigma_c, tail in tails:
+            yield extras, sigma_c, lead * tail
 
 
 def reference_search(b, limit, max_candidates):
@@ -370,12 +388,10 @@ class TestSearchEquivalence:
         # every hit once, in candidate order, none of another type: a wrong
         # hit with more cycles over 0 is intransitive and leaves no trace in the result
         for b in admissible_branch_data(5):
-            if b.r == 0:
-                continue
             n, budget = b.n, 5000
             transpositions = [Permutation.from_cycles(n, [pair]) for pair in itertools.combinations(range(1, n + 1), 2)]
             sigma_inf = _canonical_representative(n, b.y)
-            hits = _surgery_hits(sigma_inf, _permutations_of_type(n, b.z), b.x, b.r, budget)
+            hits = _hits(sigma_inf, _permutations_of_type(n, b.z), b.x, b.r, budget)
             found = [(tuple(transpositions[k] for k in index), sigma_c) for index, sigma_c, _ in hits]
             candidates = itertools.islice(reference_candidates(b), budget)
             assert found == [(e, c) for e, c, sigma_0 in candidates if sigma_0.cycle_type() == b.x], b

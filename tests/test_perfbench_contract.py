@@ -2,9 +2,9 @@
 
 perfbench wraps kumfib's layer functions by name, clears its caches and
 checks its catalog; a rename or deletion of any of those names would only
-show when the benchmark runs.  These calls fail fast instead.  Of the
-workloads only `paper` is generated here: `catalog` and `reports` replace
-hodge.search_tuples for good.
+show when the benchmark runs.  These calls fail fast instead.  `catalog`
+and `reports` replace hodge.search_tuples to capture its results, so they
+are built under monkeypatch, which puts the original back.
 """
 
 import sys
@@ -16,6 +16,7 @@ import kumfib.verification
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import oracle  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -45,3 +46,18 @@ def test_paper_loop_tables_pass_the_benchmark_oracle(tmp_path):
     for op in loops:
         assert op.check(op.call()) is False
     workload.finish_round()
+
+
+def test_catalog_and_reports_ops_pass_the_benchmark_oracle(monkeypatch, tmp_path):
+    # the benchmark's gates on the search and the pullback: records checked
+    # against s, p_g and Hodge numbers that perfbench/oracle.py recomputes
+    monkeypatch.setattr(kumfib.hodge, "search_tuples", kumfib.hodge.search_tuples)
+    catalog = dict(zip(workloads.catalog_sample(), workloads.catalog(kumfib, 0, tmp_path).ops))
+    r_zero = next(d for d in catalog if d[4] == 0 and d != oracle.REGULAR_DATUM)
+    cover = next(op for op in workloads.reports(kumfib, 0, tmp_path).ops if op.tag == "cover")
+    ops = [catalog[oracle.QUINTIC_DATUM], catalog[oracle.REGULAR_DATUM], catalog[r_zero], cover]
+    failed = []
+    for op in ops:
+        op.prepare()
+        failed.append(op.check(op.call()))
+    assert failed == [False] * 4  # none truncated
