@@ -379,7 +379,7 @@ def cmd_verify(args) -> int:
             return EXIT_INVALID_INPUT
     import sympy  # noqa: F401  loaded before the checks, so no check is charged the import
 
-    results = verification.run_all(args.only or None)
+    results = verification.run_all(args.only)
     failures = 0
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -428,7 +428,7 @@ def _parser() -> argparse.ArgumentParser:
         "verify-paper", help="re-run every pinned reference check"
     )
     p_verify.add_argument(
-        "--only", nargs="*", metavar="KEY", help="restrict to the named checks"
+        "--only", nargs="+", metavar="KEY", help="restrict to the named checks"
     )
     p_verify.set_defaults(fn=cmd_verify)
     return parser

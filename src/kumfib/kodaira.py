@@ -9,6 +9,14 @@ coordinate 1/nu) the model is first made minimal by the quadratic twist
 residue-characteristic-zero table on the triple (v(c4), v(c6), v(Delta)).
 Places, not individual complex points, carry the types, so Galois-conjugate
 fibers are reported once.
+
+The invariants are computed over one denominator and reduced once each: with
+D the lcm of the denominators of a2, a4, a6 and A_i = a_i D,
+
+    C4 = 16 A2^2 - 48 A4 D,   C6 = -64 A2^3 + 288 A2 A4 D - 864 A6 D^2,
+
+are polynomials, c4 = C4/D^2, c6 = C6/D^3, Delta = (C4^3 - C6^2)/(1728 D^6)
+and j = C4^3/(C4^3 - C6^2).
 """
 
 from __future__ import annotations
@@ -72,26 +80,47 @@ class KodairaFiber:
 def c_invariants(
     w: WeierstrassFamily,
 ) -> tuple[RationalFunction, RationalFunction, RationalFunction]:
-    """Standard (c4, c6, Delta) of the model.
+    """Standard (c4, c6, Delta) of the model, each reduced once.
 
-    b2 = 4 a2, b4 = 2 a4, b6 = 4 a6, c4 = b2^2 - 24 b4,
-    c6 = -b2^3 + 36 b2 b4 - 216 b6, Delta = (c4^3 - c6^2)/1728.
+    With b2 = 4 a2, b4 = 2 a4, b6 = 4 a6 the invariants are
+    c4 = b2^2 - 24 b4, c6 = -b2^3 + 36 b2 b4 - 216 b6 and
+    Delta = (c4^3 - c6^2)/1728.  They are computed over one denominator:
+    D = lcm of the denominators of a2, a4, a6 and A_i = a_i D, so that
+    C4 = 16 A2^2 - 48 A4 D and C6 = -64 A2^3 + 288 A2 A4 D - 864 A6 D^2 are
+    polynomials, and (c4, c6, Delta) = (C4/D^2, C6/D^3, (C4^3 - C6^2)/(1728 D^6)).
     """
-    b2 = 4 * w.a2
-    b4 = 2 * w.a4
-    b6 = 4 * w.a6
-    c4 = b2**2 - 24 * b4
-    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
-    delta = (c4**3 - c6**2) / 1728
-    return c4, c6, delta
+    D, C4, C6 = _numerators(w)
+    return (
+        RationalFunction(C4, D**2),
+        RationalFunction(C6, D**3),
+        RationalFunction(C4**3 - C6**2, 1728 * D**6),
+    )
 
 
 def j_function(w: WeierstrassFamily) -> RationalFunction:
-    """c4^3 / (1728 Delta): normalized so j = 1 where c6 = 0 and j = 0 where c4 = 0."""
-    c4, _, delta = c_invariants(w)
-    if delta.is_zero:
+    """c4^3 / (1728 Delta): normalized so j = 1 where c6 = 0 and j = 0 where c4 = 0.
+
+    With C4, C6 as in c_invariants the D^6 cancels: j = C4^3 / (C4^3 - C6^2),
+    one reduction.
+    """
+    _, C4, C6 = _numerators(w)
+    num = C4**3
+    den = num - C6**2
+    if den.is_zero:
         raise ClassificationError("identically singular family has no j")
-    return c4**3 / (1728 * delta)
+    return RationalFunction(num, den)
+
+
+def _numerators(w: WeierstrassFamily) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """(D, C4, C6): the common denominator D of a2, a4, a6 and the polynomials
+    C4 = c4 D^2 and C6 = c6 D^3."""
+    D = Polynomial.one()
+    for a in (w.a2, w.a4, w.a6):
+        D = D * (a.den // D.gcd(a.den))
+    A2, A4, A6 = (a.num * (D // a.den) for a in (w.a2, w.a4, w.a6))
+    C4 = 16 * A2**2 - 48 * A4 * D
+    C6 = -64 * A2**3 + 288 * A2 * A4 * D - 864 * A6 * D**2
+    return D, C4, C6
 
 
 def _val(f: RationalFunction, place: Place) -> float:

@@ -113,16 +113,28 @@ def _swap_zero_and_infinity(table):
     return replace(table, around_zero=table.around_infinity, around_infinity=table.around_zero)
 
 
-def _beta_scaling_s_by_r_cubed(real):
-    """beta with s -> r^3 s for r = (nu-1)/(nu+1), where the surface needs r^2 s."""
+def _wrong_involution(which, image):
+    """A fault that replaces family.apply_involution(which, p) by image(p)."""
+    return _fault(family, "apply_involution", lambda real: lambda w, p: image(p) if w == which else real(w, p))
 
-    def apply(which, p):
-        image = real(which, p)
-        if which != "beta":
-            return image
-        return replace(image, s=((p.nu - 1) / (p.nu + 1)) ** 3 * p.s)
 
-    return apply
+def _ratio(p):
+    """(nu-1)/(nu+1), the scaling of beta and iota'."""
+    return (p.nu - 1) / (p.nu + 1)
+
+
+#: beta with s -> r^3 s for r = (nu-1)/(nu+1), where the surface needs r^2 s
+BETA_SCALES_S_BY_R_CUBED = _wrong_involution(
+    "beta", lambda p: family.KummerPoint(-p.nu, _ratio(p) ** 3 * p.s, p.t, _ratio(p) ** 3 * p.u)
+)
+#: iota without its swap of s and t
+IOTA_WITHOUT_SWAP = _wrong_involution(
+    "iota", lambda p: family.KummerPoint((p.nu + 1) / (p.nu - 1), p.s, p.t, p.u)
+)
+#: iota' with the m^2 on t instead of s, for m = (nu-1)/(nu+1)
+IOTA_PRIME_SCALES_T = _wrong_involution(
+    "iota_prime", lambda p: family.KummerPoint(_ratio(p), _ratio(p) ** 2 * p.t, p.s, _ratio(p) ** 3 * p.u)
+)
 
 
 #: At least one injected fault per check key.
@@ -153,7 +165,9 @@ FAULTS = [
         "images-off-surface",
         _fault(family, "apply_involution", lambda real: lambda w, p: replace(real(w, p), u=2 * real(w, p).u)),
     ),
-    ("kummer-involutions", "beta-scales-s-by-r-cubed", _fault(family, "apply_involution", _beta_scaling_s_by_r_cubed)),
+    ("kummer-involutions", "beta-scales-s-by-r-cubed", BETA_SCALES_S_BY_R_CUBED),
+    ("kummer-involutions", "iota-without-swap", IOTA_WITHOUT_SWAP),
+    ("kummer-involutions", "iota-prime-scales-t", IOTA_PRIME_SCALES_T),
     ("fixed-curve-data", "genus-shifted", _fault(hurwitz, "genus", lambda real: lambda c: real(c) + 1)),
     ("quintic-example", "c-by-y-wrong", lambda monkeypatch: monkeypatch.setitem(hodge.C_BY_Y, 4, 1)),
     ("regular-cover-example", "c-by-y-wrong", lambda monkeypatch: monkeypatch.setitem(hodge.C_BY_Y, 4, 1)),
@@ -197,9 +211,17 @@ def test_injected_fault_fails_its_check(monkeypatch, key, fault):
 
 def test_symbolic_residuals_run_the_shipped_maps(monkeypatch):
     # the symbolic identity is checked on family.apply_involution itself, so a
-    # wrong map fails it as well as the numerical points
-    _fault(family, "apply_involution", _beta_scaling_s_by_r_cubed)(monkeypatch)
-    result = verification.run_one("kummer-involutions")
+    # wrong map fails it as well as the numerical points, and only that map's
+    # residual is nonzero
     label = "symbolic residuals"
-    assert result.expected[label] != result.actual[label]
-    assert result.actual[label]["beta"] != 0 and result.actual[label]["iota"] == 0
+    for wrong, fault in [
+        ("beta", BETA_SCALES_S_BY_R_CUBED),
+        ("iota", IOTA_WITHOUT_SWAP),
+        ("iota_prime", IOTA_PRIME_SCALES_T),
+    ]:
+        with monkeypatch.context() as patch:
+            fault(patch)
+            residuals = verification.run_one("kummer-involutions").actual[label]
+        assert {w: r != 0 for w, r in residuals.items()} == {
+            w: w == wrong for w in ("beta", "iota", "iota_prime")
+        }, wrong

@@ -264,6 +264,14 @@ class TestReport:
         code, _, err = run(["verify-paper", "--only", "towr"], capsys)
         assert code == 2 and "towr" in err
 
+    def test_verify_only_without_a_key_rejected(self, capsys):
+        # a bare --only is a usage error, not a run of every check
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["verify-paper", "--only"])
+        _, err = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert err.startswith("usage: kumfib verify-paper") and "expected at least one argument" in err
+
 
 class TestEnumerate:
     def test_degree_one_empty(self, capsys):

@@ -144,9 +144,29 @@ class TestJFunction:
         assert rem.is_zero
 
 
+def reference_c_invariants(w):
+    """The former definition: field arithmetic over Q(nu), a reduction per operation."""
+    b2 = 4 * w.a2
+    b4 = 2 * w.a4
+    b6 = 4 * w.a6
+    c4 = b2**2 - 24 * b4
+    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
+    delta = (c4**3 - c6**2) / 1728
+    return c4, c6, delta
+
+
+def reference_j_function(w):
+    """The former definition: c4^3 / (1728 Delta) from the field-arithmetic invariants."""
+    c4, _, delta = reference_c_invariants(w)
+    if delta.is_zero:
+        raise ClassificationError("identically singular family has no j")
+    return c4**3 / (1728 * delta)
+
+
 def reference_classify(w):
-    """The former definition: four factorisations, nu -> 1/w for infinity, a sort."""
-    c4, c6, delta = c_invariants(w)
+    """The former definition: four factorisations, nu -> 1/w for infinity, a sort,
+    on the field-arithmetic invariants."""
+    c4, c6, delta = reference_c_invariants(w)
     if delta.is_zero:
         raise ClassificationError("discriminant vanishes identically")
     candidates = {}
@@ -319,3 +339,33 @@ class TestOnePassClassify:
                     j_function(w)
             else:
                 assert j_function(w) == c4**3 / (1728 * delta)
+
+
+class TestOneDenominator:
+    """c_invariants and j_function over one denominator against field arithmetic.
+
+    classify is compared in TestOnePassClassify: reference_classify runs on
+    the field-arithmetic invariants.
+    """
+
+    FAMILIES = [
+        family.e1_model(),
+        family.e2_model(),
+        # D is the lcm of three different denominators
+        WeierstrassFamily(a2=1 / (NU + 1), a4=NU / (NU - 2) ** 2, a6=(NU + 3) / (NU * (NU + 1))),
+        *random_families(20261019, 100),
+        *SINGULAR,
+    ]
+
+    @pytest.mark.parametrize(
+        "fn, reference",
+        [(c_invariants, reference_c_invariants), (j_function, reference_j_function)],
+        ids=["c_invariants", "j_function"],
+    )
+    def test_values_and_errors_match_the_reference(self, fn, reference):
+        for w in self.FAMILIES:
+            assert _outcome(fn, w) == _outcome(reference, w), w
+
+    @pytest.mark.parametrize("w", SINGULAR)
+    def test_identically_singular_family_has_no_j(self, w):
+        assert _outcome(j_function, w) == (ClassificationError, "identically singular family has no j")
