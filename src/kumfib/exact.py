@@ -18,7 +18,7 @@ Q(nu)[s] or Q(nu)(s)(t) come for free by nesting.
 
 Factorization into irreducibles delegates the factor-finding step to sympy
 (exact Zassenhaus-style factorization over Q, sympy imported only then);
-everything else, rational_root included, is standard library.
+everything else, rational_sqrt included, is standard library.
 """
 
 from __future__ import annotations
@@ -219,12 +219,6 @@ class Polynomial:
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
         return acc
-
-    def squarefree_part_is_self(self) -> bool:
-        """True when the polynomial has no repeated roots."""
-        if self.degree <= 1:
-            return True
-        return self.gcd(self.derivative()).degree == 0
 
     def __repr__(self):
         if self.is_zero:
@@ -482,34 +476,20 @@ class Place:
         return f"Place({self.minimal_polynomial!r} = 0)"
 
 
-# -- rational roots -------------------------------------------------------------
+# -- rational square roots ------------------------------------------------------
 
 
-def rational_root(q, k: int) -> Fraction | None:
-    """The rational k-th root of q (k >= 1), or None when q is not a k-th power.
+def rational_sqrt(q) -> Fraction | None:
+    """The rational square root of q, or None when q is not a rational square.
 
-    A negative q has a root only for odd k.  Square roots use math.isqrt,
-    higher roots integer Newton iteration from above.
+    q in lowest terms is a square exactly when its numerator and denominator
+    are, so two integer square roots decide it.
     """
     q = Fraction(q)
     if q < 0:
-        root = rational_root(-q, k) if k % 2 else None
-        return None if root is None else -root
-    num, den = _integer_root(q.numerator, k), _integer_root(q.denominator, k)
-    return None if num is None or den is None else Fraction(num, den)
-
-
-def _integer_root(m: int, k: int) -> int | None:
-    """The exact k-th root of an integer m >= 0, or None."""
-    if k == 2:
-        r = math.isqrt(m)
-    elif m == 0:  # Newton divides by r^(k-1), and r reaches 0 only here
-        r = 0
-    else:
-        r = 1 << -(-m.bit_length() // k)  # 2^ceil(bits/k) exceeds the root
-        while (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
-            r = s
-    return r if r**k == m else None
+        return None
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(num, den) if num * num == q.numerator and den * den == q.denominator else None
 
 
 # -- factorization and orders (Q coefficients only) ---------------------------
@@ -581,20 +561,3 @@ def order_at(f: RationalFunction | Polynomial, p: Place) -> int:
         return f.den.degree - f.num.degree
     m = p.minimal_polynomial
     return multiplicity_in(f.num, m) - multiplicity_in(f.den, m)
-
-
-def divisor_of(f: RationalFunction) -> list[tuple[Place, int]]:
-    """All places (finite and infinite) where f has nonzero order."""
-    if f.is_zero:
-        raise ExactAlgebraError("the zero function has no divisor")
-    orders: dict[Place, int] = {}
-    if f.num.degree > 0:
-        for place, mult in irreducible_factors(f.num):
-            orders[place] = orders.get(place, 0) + mult
-    if f.den.degree > 0:
-        for place, mult in irreducible_factors(f.den):
-            orders[place] = orders.get(place, 0) - mult
-    inf = f.den.degree - f.num.degree
-    if inf:
-        orders[Place.at_infinity()] = inf
-    return [(pl, o) for pl, o in orders.items() if o]

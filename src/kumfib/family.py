@@ -24,8 +24,7 @@ from fractions import Fraction
 from typing import Literal
 
 from . import kodaira
-from .exact import PoleError, Polynomial, RationalFunction, compose, rational_root
-from .mpolar import CuspError, ModularParams
+from .exact import PoleError, Polynomial, RationalFunction, compose, rational_sqrt
 from .permutations import Permutation
 
 _NU = RationalFunction.x()
@@ -54,18 +53,6 @@ LAMBDA_FAMILY = LambdaFamily(
 )
 
 
-def params_of_lambda(lam) -> ModularParams:
-    """Exact (a, b, d) triple at a rational parameter value; lambda = 0 is the cusp."""
-    lam = _F(lam)
-    if lam == 0:
-        raise CuspError("lambda = 0 gives d = 0 (cusp)")
-    return ModularParams(
-        a=LAMBDA_FAMILY.a_of_lambda(lam),
-        b=LAMBDA_FAMILY.b_of_lambda(lam),
-        d=LAMBDA_FAMILY.d_of_lambda(lam),
-    )
-
-
 @dataclass(frozen=True)
 class CoverTower:
     """The chain of double covers over the modular curve.
@@ -92,20 +79,12 @@ def cover_tower() -> CoverTower:
     return CoverTower(f1=f1, f2=f2, f2_f3=f2_f3, lambda_of_nu=lam)
 
 
-#: lambda(nu) = (1/16) nu^2 (1-nu^2)^2 / (1+nu^2)^4, printed form.
+#: lambda(nu) = (1/16) nu^2 (1-nu^2)^2 / (1+nu^2)^4, printed form.  A call
+#: evaluates in nu's own arithmetic (Fraction, mpmath, float or complex), and
+#: the poles nu^2 + 1 = 0 raise PoleError.
 LAMBDA_OF_NU: RationalFunction = (
     _F(1, 16) * _NU**2 * (1 - _NU**2) ** 2 / (1 + _NU**2) ** 4
 )
-
-
-def lambda_of_nu(nu):
-    """Evaluate the eightfold cover LAMBDA_OF_NU at nu, in nu's own arithmetic.
-
-    Rational input gives an exact Fraction; an arbitrary-precision number
-    gives a value at its working precision, and float or complex input a
-    float or complex.  The poles nu^2 + 1 = 0 raise PoleError.
-    """
-    return LAMBDA_OF_NU(nu)
 
 
 # -- the dihedral deck action ---------------------------------------------------
@@ -213,18 +192,14 @@ class KummerPoint:
     """A point (nu, s, t, u) of the affine Kummer model.
 
     Coordinates are either all exact (Fraction) or all floating (any numeric
-    type with abs, arbitrary-precision or Python float and complex); make
-    turns ints into Fractions and keeps every other value as given.
+    type with abs, arbitrary-precision or Python float and complex), and are
+    kept as given.
     """
 
     nu: object
     s: object
     t: object
     u: object
-
-    @staticmethod
-    def make(nu, s, t, u) -> "KummerPoint":
-        return KummerPoint(*(_F(v) if isinstance(v, int) else v for v in (nu, s, t, u)))
 
     @property
     def is_exact(self) -> bool:
@@ -292,5 +267,5 @@ def random_surface_point(rng) -> KummerPoint:
         m = s_part * e * (e - f) * (e * b * b - f * a * a) * d * f
         if m > 0 and math.isqrt(m) ** 2 == m:
             nu, s, t = _F(a, b), _F(c, d), _F(e, f)
-            return KummerPoint(nu, s, t, rational_root(kummer_rhs(nu, s, t), 2))
+            return KummerPoint(nu, s, t, rational_sqrt(kummer_rhs(nu, s, t)))
     raise RuntimeError("failed to sample an on-surface point")

@@ -435,10 +435,6 @@ class DeckParity:
     odd: bool
     block_image: Literal["fixed", "swapped", "broken"]
 
-    @property
-    def in_H(self) -> bool:
-        return self.block_image == "fixed"
-
 
 def deck_parity(tau: Permutation) -> DeckParity:
     if tau.degree != 6:

@@ -1,17 +1,17 @@
 """Parameter arithmetic for K3 surfaces polarized by H + E8 + E8.
 
 Such surfaces are classified by a triple (a, b, d) of weights (2, 3, 6) with
-d != 0.  This module provides the weight normalization, the sigma/pi
-invariants, the discriminant that controls when the two fiber j-invariants
-coincide, and the cubic whose shifted root sets locate the six I2 fibers of
-the induced fibration on the Kummer side.
+d != 0; everything here takes the d = 1 normalized pair (a, b).  This module
+provides the sigma/pi invariants, the discriminant that controls when the
+two fiber j-invariants coincide, and the cubic whose shifted root sets
+locate the six I2 fibers of the induced fibration on the Kummer side.
 
 The weight-3 parameter b survives normalization only up to sign; everything
-exported here depends on b through b^2 except fiber_locus, which takes a
+here depends on b through b^2 except fiber_cubic, which takes a
 caller-chosen sign of b (the two choices swap the root triples together with
 x -> -x).  Branch tracking along parameter paths is the monodromy module's
-job, keeping this module exact and branch-free; its exact square and cube
-roots come from exact.rational_root, so it needs no sympy.
+job, keeping this module exact and branch-free; its exact square roots come
+from exact.rational_sqrt, so it needs no sympy.
 """
 
 from __future__ import annotations
@@ -19,27 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Polynomial, _coerce, rational_root
-
-
-class CuspError(ValueError):
-    """Parameter point lies on the cusp locus d = 0."""
-
-
-@dataclass(frozen=True)
-class ModularParams:
-    """Weighted moduli coordinates (a, b, d) of weights (2, 3, 6), d != 0."""
-
-    a: Fraction
-    b: Fraction
-    d: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "d", Fraction(self.d))
-        if self.d == 0:
-            raise CuspError("d = 0 is the cusp; no surface is attached")
+from .exact import Polynomial, _coerce, rational_sqrt
 
 
 @dataclass(frozen=True)
@@ -48,24 +28,6 @@ class SigmaPi:
 
     sigma: Fraction
     pi: Fraction
-
-
-def normalize(p: ModularParams) -> tuple[Fraction, Fraction]:
-    """Rescale to d = 1, returning the pair (a/d^(1/3), b^2/d).
-
-    b^2/d is rational for every input; a/d^(1/3) is rational exactly when d
-    is a perfect cube (always the case for the families in this package,
-    where d is a cube by construction) and the call fails otherwise.
-    """
-    if p.d == 0:
-        raise CuspError("cannot normalize on the cusp d = 0")
-    croot = rational_root(p.d, 3)
-    if croot is None:
-        raise ValueError(
-            f"{p.d} is not the cube of a rational; exact weight normalization "
-            "needs d to be a perfect cube"
-        )
-    return p.a / croot, p.b * p.b / p.d
 
 
 def sigma_pi(a, b) -> SigmaPi:
@@ -93,19 +55,13 @@ def discriminant_delta(a, b):
 
 
 def fiber_cubic(a: Fraction, b: Fraction) -> Polynomial:
-    """The cubic 4x^3 - 3ax - b."""
-    return Polynomial((-Fraction(b), -3 * Fraction(a), 0, 4))
+    """The cubic P = 4x^3 - 3ax - b.
 
-
-def fiber_locus(a: Fraction, b: Fraction) -> tuple[Polynomial, Polynomial]:
-    """The pair (P - 1, P + 1) with P = 4x^3 - 3ax - b.
-
-    Their six roots are the base points of the I2 fibers of the induced
-    fibration on the Kummer side (I1 fibers of the alternate fibration
-    upstairs); the six are distinct iff a^3 != (b +- 1)^2.
+    The roots of P - 1 and P + 1 are the base points of the six I2 fibers of
+    the induced fibration on the Kummer side (I1 fibers of the alternate
+    fibration upstairs); the six are distinct iff a^3 != (b +- 1)^2.
     """
-    p = fiber_cubic(a, b)
-    return p - 1, p + 1
+    return Polynomial((-Fraction(b), -3 * Fraction(a), 0, 4))
 
 
 @dataclass(frozen=True)
@@ -129,7 +85,7 @@ class QuadraticSurd:
         radicand = Fraction(radicand)
         if radical_coeff == 0 or radicand == 0:
             return QuadraticSurd(rational_part, Fraction(0), Fraction(0))
-        root = rational_root(radicand, 2)
+        root = rational_sqrt(radicand)
         if root is not None:
             return QuadraticSurd(rational_part + radical_coeff * root, Fraction(0), Fraction(0))
         return QuadraticSurd(rational_part, radical_coeff, radicand)
@@ -164,15 +120,6 @@ class QuadraticSurd:
             + self.radical_coeff * other.rational_part,
             radicand,
         )
-
-    def __complex__(self) -> complex:
-        root = complex(self.radicand) ** 0.5
-        return complex(self.rational_part) + complex(self.radical_coeff) * root
-
-    def __str__(self):
-        if self.is_rational:
-            return str(self.rational_part)
-        return f"{self.rational_part} + {self.radical_coeff}*sqrt({self.radicand})"
 
 
 def j_pair(sp: SigmaPi) -> tuple[QuadraticSurd, QuadraticSurd]:

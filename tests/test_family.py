@@ -8,22 +8,14 @@ import pytest
 import sympy
 
 from kumfib import family, monodromy
-from kumfib.exact import PoleError, RationalFunction, compose, rational_root
-from kumfib.mpolar import CuspError, normalize, sigma_pi
+from kumfib.exact import PoleError, RationalFunction, compose, rational_sqrt
+from kumfib.mpolar import sigma_pi
 from kumfib.permutations import Permutation
 
 NU = RationalFunction.x()
 
 
 class TestParameterMaps:
-    def test_params_at_one(self):
-        p = family.params_of_lambda(1)
-        assert (p.a, p.b, p.d) == (F(145, 144), F(647, 1728), F(1))
-
-    def test_cusp(self):
-        with pytest.raises(CuspError):
-            family.params_of_lambda(0)
-
     def test_one_family_instance(self):
         fam = family.LAMBDA_FAMILY
         maps = (fam.a_of_lambda, fam.b_of_lambda, fam.d_of_lambda)
@@ -41,8 +33,8 @@ class TestParameterMaps:
 
     def test_pointwise_agreement_at_one(self):
         fam = family.LAMBDA_FAMILY
-        a_norm, b_sq = normalize(family.params_of_lambda(1))
-        sp = sigma_pi(a_norm, F(647, 1728))
+        assert fam.d_of_lambda(F(1)) == 1
+        sp = sigma_pi(fam.a_of_lambda(F(1)), fam.b_of_lambda(F(1)))
         assert sp.sigma == fam.sigma_of_lambda(F(1))
         assert sp.pi == fam.pi_of_lambda(F(1))
 
@@ -57,7 +49,8 @@ class TestParameterMaps:
             lam = F(rng.randint(-40, 40), rng.randint(1, 12))
             if lam == 0:
                 continue
-            a_norm, b_sq = normalize(family.params_of_lambda(lam))
+            a_norm = fam.a_of_lambda(lam) / lam  # d = lam^3 has cube root lam
+            b_sq = fam.b_of_lambda(lam) ** 2 / lam**3
             sigma = a_norm**3 - b_sq + 1
             pi = a_norm**3
             assert sigma == fam.sigma_of_lambda(lam)
@@ -72,31 +65,32 @@ class TestCoverTower:
 
     def test_cusp_values(self):
         for nu in (0, 1, -1):
-            assert family.lambda_of_nu(nu) == 0
+            assert family.LAMBDA_OF_NU(nu) == 0
 
     def test_quarter_preimages_numerically(self):
         with mpmath.workprec(160):
             for sign1 in (1, -1):
                 for sign2 in (1, -1):
                     nu = sign1 * (1 + sign2 * mpmath.sqrt(2))
-                    value = family.lambda_of_nu(nu)
+                    value = family.LAMBDA_OF_NU(nu)
                     assert abs(value - mpmath.mpf(1) / 256) < mpmath.mpf("1e-30")
 
     def test_pole_at_i(self):
         with pytest.raises(PoleError):
-            family.lambda_of_nu(mpmath.mpc(0, 1))
+            family.LAMBDA_OF_NU(mpmath.mpc(0, 1))
 
     def test_exact_rational_value(self):
-        assert family.lambda_of_nu(F(2)) == F(1, 16) * 4 * 9 / 625
+        assert family.LAMBDA_OF_NU(F(2)) == F(1, 16) * 4 * 9 / 625
 
     def test_one_evaluator_in_every_arithmetic(self):
         # the printed rational function evaluates exactly, in mpmath, or in floats
-        assert family.lambda_of_nu(2) == family.LAMBDA_OF_NU(F(2)) == F(9, 2500)
-        value = family.lambda_of_nu(2.0)
+        exact = family.LAMBDA_OF_NU(2)
+        assert type(exact) is F and exact == F(9, 2500)
+        value = family.LAMBDA_OF_NU(2.0)
         assert type(value) is float and value == pytest.approx(9 / 2500, rel=1e-15)
-        assert type(family.lambda_of_nu(1 + 1j)) is complex
+        assert type(family.LAMBDA_OF_NU(1 + 1j)) is complex
         with pytest.raises(PoleError, match="^pole at "):
-            family.lambda_of_nu(1j)
+            family.LAMBDA_OF_NU(1j)
 
 
 class TestDeckGroup:
@@ -180,7 +174,7 @@ def reference_surface_point(rng):
         rhs = family.kummer_rhs(nu, s, t)
         if rhs <= 0:
             continue
-        u = rational_root(rhs, 2)
+        u = rational_sqrt(rhs)
         if u is not None:
             return family.KummerPoint(nu, s, t, u)
     raise RuntimeError("failed to sample an on-surface point")
@@ -238,18 +232,17 @@ class TestKummerInvolutions:
         with pytest.raises(PoleError):
             family.apply_involution("iota", family.KummerPoint(F(1), F(2), F(2), F(2)))
 
-    def test_make_keeps_python_floats(self):
+    def test_python_floats_kept(self):
         nu, s, t = 3.0, 0.5, 2.25
         u = family.kummer_rhs(nu, s, t) ** 0.5  # the product is negative: u is complex
-        p = family.KummerPoint.make(nu, s, t, u)
+        p = family.KummerPoint(nu, s, t, u)
         assert (type(p.nu), type(p.u)) == (float, complex) and not p.is_exact
         assert p.on_surface(tol=1e-12)
-        assert family.KummerPoint.make(3, 1, 2, 0).nu == F(3)
 
     def test_floating_mode(self):
         with mpmath.workprec(113):
             nu, s, t = mpmath.mpf(3), mpmath.mpf("0.5"), mpmath.mpf("2.25")
             u = mpmath.sqrt(family.kummer_rhs(nu, s, t))
-            p = family.KummerPoint.make(nu, s, t, u)
+            p = family.KummerPoint(nu, s, t, u)
             assert p.on_surface()
             assert family.apply_involution("beta", p).on_surface()

@@ -6,6 +6,7 @@ import random
 import re
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -513,3 +514,106 @@ class TestClassGenerator:
         assert _permutations_of_type(4, (1, 2, 1)) == _permutations_of_type(4, (2, 1, 1))
         assert _permutations_of_type(4, (2, 1)) == ()
         assert _permutations_of_type(3, (3, 0)) == ()
+
+
+# -- Hurwitz's closed forms as an oracle for the search ------------------------------
+#
+# The mass of branch data is the sum of 1/|Aut| over the simultaneous-conjugacy
+# classes of transitive tuples that realize it, where |Aut| is the number of
+# permutations commuting with every permutation of the tuple.  With that
+# normalisation two families of the catalog have a mass in closed form (Hurwitz,
+# Math. Ann. 39 (1891); Goulden & Jackson, Proc. AMS 125 (1997); Goulden, Jackson
+# & Vakil, Adv. Math. 198 (2005)), computed here with nothing from the search.
+
+
+def partition_symmetry(part):
+    """|Aut| of a partition: the product of m! over the multiplicities m of its parts."""
+    return math.prod(math.factorial(m) for m in Counter(part).values())
+
+
+def hurwitz_formula(b):
+    """x = z = (1^n), r = n + l - 2: r! n^(l-3) prod y_i^y_i / y_i! / |Aut y|."""
+    assert b.r == b.n + len(b.y) - 2
+    weights = math.prod(Fraction(v**v, math.factorial(v)) for v in b.y)
+    return math.factorial(b.r) * Fraction(b.n) ** (len(b.y) - 3) * weights / partition_symmetry(b.y)
+
+
+def one_part_formula(b):
+    """y = (n), x = (1^n), r = len(z) - 1: r! n^(r-1) / |Aut z|."""
+    assert b.r == len(b.z) - 1
+    return math.factorial(b.r) * Fraction(b.n) ** (b.r - 1) / partition_symmetry(b.z)
+
+
+def closed_form_masses():
+    """Each catalog datum of the two families, with its mass by every formula that covers it."""
+    out = {}
+    for b in admissible_branch_data(MAX_SEARCH_DEGREE):
+        ones = (1,) * b.n
+        masses = []
+        if b.x == b.z == ones:
+            masses.append(hurwitz_formula(b))
+        if b.y == (b.n,) and b.x == ones:
+            masses.append(one_part_formula(b))
+        if masses:
+            out[b] = masses
+    return out
+
+
+def automorphism_count(cover):
+    """The permutations that commute with every permutation of a transitive tuple.
+
+    Such a g is fixed by g(1), since g(s(p)) = s(g(p)) spreads it over the
+    orbit of 1, which is every point: so each image of 1 is tried, and
+    counted when the map it forces is consistent and a bijection.
+    """
+    count = 0
+    for image in range(1, cover.degree + 1):
+        g, order, consistent = {1: image}, [1], True
+        for p in order:
+            for s in cover.permutations:
+                q, gq = s(p), s(g[p])
+                if q not in g:
+                    g[q] = gq
+                    order.append(q)
+                consistent = consistent and g[q] == gq
+        if consistent and len(set(g.values())) == cover.degree:
+            count += 1
+    return count
+
+
+def found_mass(b, result):
+    for cover in result.covers:
+        assert branch_data_of(cover) == b and validate(cover) == [], cover
+    return sum((Fraction(1, automorphism_count(c)) for c in result.covers), Fraction(0))
+
+
+def search_candidates(b):
+    """P^r |class of z| for the P transpositions of S_n: the search's whole candidate count."""
+    return math.comb(b.n, 2) ** b.r * math.factorial(b.n) // centralizer_order(b.z)
+
+
+class TestHurwitzClosedForms:
+    masses = closed_form_masses()
+
+    def test_the_two_families(self):
+        # 7 data with x = z = (1^n), 22 with y = (8), x = (1^8); one in both
+        assert len(self.masses) == 28
+        assert sorted(map(len, self.masses.values())) == [1] * 27 + [2]
+        for b, values in self.masses.items():
+            assert len(set(values)) == 1, b
+        assert self.masses[BranchData(n=8, x=(1,) * 8, y=(4, 4), z=(1,) * 8, r=8)] == [286720]
+
+    def test_complete_searches_find_the_whole_mass(self):
+        complete = [b for b in self.masses if search_candidates(b) <= hurwitz.MAX_CANDIDATES]
+        assert len(complete) == 11
+        for b in complete:
+            result = search_tuples(b, limit=10**9)
+            assert not result.truncated, b
+            assert found_mass(b, result) == self.masses[b][0], b
+
+    def test_budgeted_searches_stay_below_the_mass(self):
+        # the inequality holds at any budget, so the costly searches run at a small one
+        for b, values in self.masses.items():
+            result = search_tuples(b, limit=10**9, max_candidates=20_000)
+            assert result.truncated == (search_candidates(b) > 20_000), b
+            assert found_mass(b, result) <= values[0], b

@@ -114,7 +114,7 @@ class TestLoops:
         gc = tables[256].around_quarter256
         assert gc.cycle_type() == (2, 1, 1, 1, 1)
         moved = [i for i in range(1, 7) if gc(i) != i]
-        assert moved and deck_parity(gc).in_H
+        assert moved and deck_parity(gc).block_image == "fixed"
 
     def test_infinity_cycle_type(self, tables):
         assert tables[256].around_infinity.cycle_type() == (4, 2)
@@ -283,7 +283,7 @@ class TestBigCircleCheck:
 class TestDeckParity:
     def test_within_triple_odd(self):
         result = deck_parity(Permutation.from_cycles(6, [(4, 5)]))
-        assert result.verdict == "swaps" and result.odd and result.in_H
+        assert result.verdict == "swaps" and result.odd and result.block_image == "fixed"
 
     def test_identity(self):
         result = deck_parity(Permutation.identity(6))
@@ -291,7 +291,7 @@ class TestDeckParity:
 
     def test_even_within_triples(self):
         result = deck_parity(Permutation.from_cycles(6, [(1, 2, 3)]))
-        assert result.verdict == "preserves" and result.in_H
+        assert result.verdict == "preserves" and result.block_image == "fixed"
 
     def test_block_swap_not_in_h(self):
         result = deck_parity(Permutation.from_cycles(6, [(1, 4), (2, 5), (3, 6)]))

@@ -3,52 +3,10 @@
 import random
 from fractions import Fraction as F
 
-import pytest
 import sympy
 
 from kumfib.exact import Polynomial, RationalFunction
-from kumfib.mpolar import (
-    CuspError,
-    ModularParams,
-    SigmaPi,
-    discriminant_delta,
-    fiber_cubic,
-    fiber_locus,
-    j_pair,
-    normalize,
-    sigma_pi,
-)
-
-
-class TestNormalize:
-    def test_unit_d(self):
-        assert normalize(ModularParams(2, 3, 1)) == (F(2), F(9))
-
-    def test_family_point(self):
-        p = ModularParams(F(145, 144), F(647, 1728), 1)
-        assert normalize(p) == (F(145, 144), F(647, 1728) ** 2)
-
-    def test_cube_d(self):
-        # weights (2,3,6): scaling by t=2 sends (a,b,d) -> (4a, 8b, 64d)
-        assert normalize(ModularParams(4 * 2, 8 * 3, 64)) == (F(2), F(9))
-
-    def test_cusp_rejected(self):
-        with pytest.raises(CuspError):
-            ModularParams(1, 1, 0)
-
-    def test_non_cube_rejected(self):
-        with pytest.raises(ValueError, match="perfect cube"):
-            normalize(ModularParams(1, 1, 2))
-
-    def test_weighted_rescaling_invariance(self):
-        rng = random.Random(8)
-        for _ in range(25):
-            a = F(rng.randint(-9, 9), rng.randint(1, 5))
-            b = F(rng.randint(-9, 9), rng.randint(1, 5))
-            d = F(rng.randint(1, 9), rng.randint(1, 5)) ** 3
-            t = F(rng.randint(1, 6), rng.randint(1, 6))
-            scaled = ModularParams(t**2 * a, t**3 * b, t**6 * d)
-            assert normalize(scaled) == normalize(ModularParams(a, b, d))
+from kumfib.mpolar import SigmaPi, discriminant_delta, fiber_cubic, j_pair, sigma_pi
 
 
 class TestSigmaPi:
@@ -95,34 +53,26 @@ class TestDiscriminant:
 
 
 class TestFiberLocus:
-    def test_origin(self):
-        minus, plus = fiber_locus(0, 0)
-        assert minus == Polynomial((-1, 0, 0, 4))
-        assert plus == Polynomial((1, 0, 0, 4))
-
-    def test_leading_and_constant_coefficients(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            a = F(rng.randint(-9, 9), rng.randint(1, 4))
-            b = F(rng.randint(-9, 9), rng.randint(1, 4))
-            minus, plus = fiber_locus(a, b)
-            assert minus.leading == 4 and plus.leading == 4
-            assert minus.coeffs[0] == -b - 1
-            assert plus.coeffs[0] == -b + 1
-
     def test_distinct_roots_iff_discriminant(self):
+        def shifted(a, b):  # P - 1 and P + 1, whose six roots are the fiber locations
+            p = fiber_cubic(a, b)
+            return p - 1, p + 1
+
+        def squarefree(p):
+            return p.gcd(p.derivative()).degree == 0
+
         # at (1, 0) both a^3 = (b-1)^2 and a^3 = (b+1)^2 hold: both degenerate
-        minus, plus = fiber_locus(1, 0)
-        assert not plus.squarefree_part_is_self()
-        assert not minus.squarefree_part_is_self()
+        minus, plus = shifted(1, 0)
+        assert not squarefree(plus)
+        assert not squarefree(minus)
         # at (4, 7) only a^3 = (b+1)^2 holds: only the P - 1 factor degenerates
-        minus, plus = fiber_locus(4, 7)
-        assert not minus.squarefree_part_is_self()
-        assert plus.squarefree_part_is_self()
+        minus, plus = shifted(4, 7)
+        assert not squarefree(minus)
+        assert squarefree(plus)
         # generic point: all six distinct and the two cubics are coprime
-        minus, plus = fiber_locus(F(2), F(3))
+        minus, plus = shifted(F(2), F(3))
         assert discriminant_delta(F(2), F(3)) != 0
-        assert minus.squarefree_part_is_self() and plus.squarefree_part_is_self()
+        assert squarefree(minus) and squarefree(plus)
         assert minus.gcd(plus).degree == 0
 
     def test_cubic(self):
