@@ -29,6 +29,7 @@ extended to it; requesting them reports "unsupported" instead of a guess.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .hurwitz import (
@@ -203,19 +204,20 @@ def reference_constants() -> ReferenceConstants:
 # -- the full pipeline ----------------------------------------------------------
 
 
+#: The distinct fixed-curve components and how often each occurs, counted
+#: once at import: the double cover twice, the four-fold cover once.
+_DISTINCT_COMPONENTS = tuple(Counter(C2_COMPONENTS).items())
+
+
 def fixed_curve(g: HurwitzCover) -> tuple[int, ...]:
     """The sorted component genera of the fixed curve pulled back along g.
 
-    s is their number and p_g their sum.  The three fixed-curve components
-    are built once; the two double covers are one cover, so it is pulled
-    back once and counted twice.
+    s is their number and p_g their sum.  The two double covers are one
+    cover, so it is pulled back once and its genera are counted twice.
     """
     genera = []
-    pulled: dict[HurwitzCover, list] = {}
-    for component in C2_COMPONENTS:
-        if component not in pulled:
-            pulled[component] = pullback(component, g)
-        genera.extend(report.genus for report in pulled[component])
+    for component, times in _DISTINCT_COMPONENTS:
+        genera.extend([report.genus for report in pullback(component, g)] * times)
     return tuple(sorted(genera))
 
 

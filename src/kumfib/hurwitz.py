@@ -38,7 +38,6 @@ from .permutations import (
     cycles_of,
     group_closure,
     is_transitive,
-    orbits,
 )
 
 SPECIAL_MARKS = ("quarter256", "infinity", "zero")
@@ -222,39 +221,57 @@ def pullback(base_cover: HurwitzCover, g: HurwitzCover) -> list[ComponentReport]
     Both covers live over the same marked line; their extra branch points
     are treated as distinct.  Both are well formed by construction and need
     not be connected.  The product representation acts on label pairs
-    (i, j) in {1..d} x {1..n}, numbered (i - 1) n + j; orbits are the
-    components, and each cycle of a generator lies in one orbit and adds its
-    length to that orbit's profile (a pair of local indices e, e' meets in
-    gcd(e, e') points of index lcm(e, e')); the genus comes from
-    Riemann-Hurwitz.
+    (a, b) in {0..d-1} x {0..n-1}, 0-based, at pair index a n + b; each
+    generator is the list of images of the pair indices, a base extra acting
+    as (a, .) and a cover extra as (., b).  Orbits are the components, and
+    each cycle of a generator lies in one orbit and adds its length to that
+    orbit's profile (a pair of local indices e, e' meets in gcd(e, e') points
+    of index lcm(e, e')); the genus comes from Riemann-Hurwitz.  No
+    Permutation is built.
     """
     d, n = base_cover.degree, g.degree
 
-    def pair_perm(pa: Permutation, pb: Permutation) -> Permutation:
-        return Permutation((a - 1) * n + b for a in pa.images for b in pb.images)
+    def pair_images(pa, pb) -> list[int]:
+        # pa, pb: 1-based image tuples; (a, b) -> (pa(a), pb(b)) on 0-based pair indices
+        return [(i - 1) * n + j - 1 for i in pa for j in pb]
 
     generators = {
-        mark: pair_perm(getattr(base_cover, mark), getattr(g, mark)) for mark in SPECIAL_MARKS
+        mark: pair_images(getattr(base_cover, mark).images, getattr(g, mark).images)
+        for mark in SPECIAL_MARKS
     }
     for mark, pa in zip(base_cover.marks[3:], base_cover.extras):
-        generators[f"a:{mark}"] = pair_perm(pa, Permutation.identity(n))
+        generators[f"a:{mark}"] = pair_images(pa.images, range(1, n + 1))
     for mark, pb in zip(g.marks[3:], g.extras):
-        generators[f"b:{mark}"] = pair_perm(Permutation.identity(d), pb)
+        generators[f"b:{mark}"] = pair_images(range(1, d + 1), pb.images)
 
-    pair_orbits = orbits(d * n, generators.values())
-    orbit_of = {p: i for i, orbit in enumerate(pair_orbits) for p in orbit}
-    lengths = [{mark: [] for mark in generators} for _ in pair_orbits]
-    for mark, perm in generators.items():
-        for cycle in perm.cycles(include_fixed=True):
+    images = list(generators.values())
+    orbit_of = [-1] * (d * n)
+    sizes: list[int] = []  # orbit sizes, orbits numbered by least pair index
+    for start in range(d * n):
+        if orbit_of[start] >= 0:
+            continue
+        label = len(sizes)
+        orbit_of[start] = label
+        frontier = [start]
+        for p in frontier:  # grows while it is walked
+            for w in images:
+                q = w[p]
+                if orbit_of[q] < 0:
+                    orbit_of[q] = label
+                    frontier.append(q)
+        sizes.append(len(frontier))
+    lengths = [{mark: [] for mark in generators} for _ in sizes]
+    for mark, w in generators.items():
+        for cycle in cycles_of(w):
             lengths[orbit_of[cycle[0]]][mark].append(len(cycle))
     components = []
-    for orbit, by_mark in zip(pair_orbits, lengths):
+    for size, by_mark in zip(sizes, lengths):
         ram = sum(e - 1 for ls in by_mark.values() for e in ls)
         components.append(
             ComponentReport(
-                degree=len(orbit),
+                degree=size,
                 profiles={mark: tuple(sorted(ls, reverse=True)) for mark, ls in by_mark.items()},
-                genus=(ram - 2 * len(orbit) + 2) // 2,
+                genus=(ram - 2 * size + 2) // 2,
             )
         )
     components.sort(key=lambda c: (c.degree, sorted(c.profiles.items()), c.genus))
@@ -411,8 +428,9 @@ def search_tuples(
     lexicographic), and for each of them the whole conjugacy class over
     1/256 in lexicographic order of images.  The class is built directly
     from cycle placements (`_permutations_of_type`), not filtered out of all
-    n! permutations.  A hit is a candidate whose sigma_0 has cycle type x;
-    only hits become Permutation objects.
+    n! permutations.  A hit is a candidate whose sigma_0 has cycle type x.
+    Transitivity is tested on sigma_c, sigma_inf and the extras, which
+    generate sigma_0, and sigma_0 is built only for transitive hits.
 
     No candidate is tested one by one: for each prefix of r - 1 extras (the
     empty prefix when r = 0) and each class element the cycles of one
@@ -424,8 +442,8 @@ def search_tuples(
     simultaneously conjugate exactly when an element of the centralizer of
     sigma_inf (`_centralizer`) carries one to the other, so each kept tuple
     puts its whole orbit, keyed by (extras indices, images over 1/256), into
-    a seen set, and a hit found there is skipped before sigma_0 is built or
-    transitivity tested.
+    a seen set, and a hit found there is skipped before transitivity is
+    tested.
 
     `truncated` is set when the search stops early: at `limit` distinct
     tuples, even if none is left to find, or when a candidate past
@@ -457,11 +475,11 @@ def search_tuples(
         if (index, sigma_c.images) in seen:
             continue
         extras = tuple(transpositions[k] for k in index)
+        # sigma_0 is a product of the others' inverses: same orbits without it
+        if not is_transitive(n, (sigma_c, sigma_inf, *extras)):
+            continue
         q = Permutation(sigma_c.images[p] for p in v)
         sigma_0 = sigma_inf * q.inverse() * sigma_inf_inv
-        perms = (sigma_c, sigma_inf, sigma_0, *extras)
-        if not is_transitive(n, perms):
-            continue
         centralizer = centralizer or _centralizer(n, b.y)
         for image in centralizer:
             conjugate = [0] * n

@@ -28,8 +28,10 @@ from kumfib.hurwitz import (
     BranchData,
     HurwitzCover,
     InvalidCoverError,
+    branch_data_of,
     pullback,
     regular_deck_cover,
+    search_tuples,
 )
 from kumfib.permutations import Permutation
 
@@ -214,6 +216,21 @@ class TestPipeline:
         genera = fixed_curve(g)
         assert len(calls) == 2
         assert genera == tuple(sorted(r.genus for r in reports))
+
+    @pytest.mark.parametrize(
+        "b",
+        [REGULAR, BranchData(n=8, x=(2, 2, 1, 1, 1, 1), y=(4, 4), z=(2, 2, 2, 2), r=2)],
+        ids=["regular", "searched-r2"],
+    )
+    def test_fixed_curve_builds_no_permutation(self, monkeypatch, b):
+        g = regular_deck_cover() if b == REGULAR else search_tuples(b, limit=1).covers[0]
+        assert branch_data_of(g) == b
+        expected = fixed_curve(g)
+        built = []
+        init = Permutation.__init__
+        monkeypatch.setattr(Permutation, "__init__", lambda self, images: built.append(1) or init(self, images))
+        assert fixed_curve(g) == expected
+        assert built == []
 
     @pytest.mark.parametrize(
         "b",

@@ -16,7 +16,9 @@ from kumfib.hodge import CY_INFINITY_PROFILES
 from kumfib.hurwitz import (
     C2_COMPONENTS,
     MAX_SEARCH_DEGREE,
+    SPECIAL_MARKS,
     BranchData,
+    ComponentReport,
     HurwitzCover,
     HurwitzError,
     SearchResult,
@@ -33,11 +35,17 @@ from kumfib.hurwitz import (
     search_tuples,
     validate,
 )
-from kumfib.permutations import Permutation, PermutationError, is_transitive
+from kumfib.permutations import Permutation, PermutationError, compose_all, is_transitive, orbits
 
 
 def perm(n, *cycles):
     return Permutation.from_cycles(n, cycles)
+
+
+@pytest.fixture(scope="module")
+def small_searches():
+    """search_tuples at its defaults on every catalog datum of degree at most five."""
+    return {b: search_tuples(b) for b in admissible_branch_data(5)}
 
 
 class TestCycleNotation:
@@ -251,6 +259,116 @@ class TestPullback:
         assert list(reports[0].profiles) == ["quarter256", "infinity", "zero", "b:extra1"]
 
 
+def reference_pullback(base_cover, g):
+    """The pullback as Permutation objects: pair actions, orbits() and cycles().
+
+    Pairs (i, j) in {1..d} x {1..n} are numbered (i - 1) n + j.
+    """
+    d, n = base_cover.degree, g.degree
+
+    def pair_perm(pa, pb):
+        return Permutation((a - 1) * n + b for a in pa.images for b in pb.images)
+
+    generators = {
+        mark: pair_perm(getattr(base_cover, mark), getattr(g, mark)) for mark in SPECIAL_MARKS
+    }
+    for mark, pa in zip(base_cover.marks[3:], base_cover.extras):
+        generators[f"a:{mark}"] = pair_perm(pa, Permutation.identity(n))
+    for mark, pb in zip(g.marks[3:], g.extras):
+        generators[f"b:{mark}"] = pair_perm(Permutation.identity(d), pb)
+
+    pair_orbits = orbits(d * n, generators.values())
+    orbit_of = {p: i for i, orbit in enumerate(pair_orbits) for p in orbit}
+    lengths = [{mark: [] for mark in generators} for _ in pair_orbits]
+    for mark, perm in generators.items():
+        for cycle in perm.cycles(include_fixed=True):
+            lengths[orbit_of[cycle[0]]][mark].append(len(cycle))
+    components = []
+    for orbit, by_mark in zip(pair_orbits, lengths):
+        ram = sum(e - 1 for ls in by_mark.values() for e in ls)
+        components.append(
+            ComponentReport(
+                degree=len(orbit),
+                profiles={mark: tuple(sorted(ls, reverse=True)) for mark, ls in by_mark.items()},
+                genus=(ram - 2 * len(orbit) + 2) // 2,
+            )
+        )
+    components.sort(key=lambda c: (c.degree, sorted(c.profiles.items()), c.genus))
+    return components
+
+
+def report_items(reports):
+    """The reports with their profiles in mark order, which == on a dict ignores."""
+    return [(r.degree, list(r.profiles.items()), r.genus) for r in reports]
+
+
+def random_cover(rng, degree, base_extras):
+    """A seeded cover with random special permutations and `base_extras` random extras."""
+
+    def shuffled():
+        images = list(range(1, degree + 1))
+        rng.shuffle(images)
+        return Permutation(images)
+
+    quarter256, infinity = shuffled(), shuffled()
+    extras = tuple(shuffled() for _ in range(base_extras))
+    # extras o zero o infinity o quarter256 = identity
+    zero = compose_all(extras, degree).inverse() * (infinity * quarter256).inverse()
+    return HurwitzCover(degree, quarter256=quarter256, infinity=infinity, zero=zero, extras=extras)
+
+
+def direct_sum(first, second):
+    """The disconnected cover with `first` on the low sheets and `second` on the rest."""
+    d = first.degree
+
+    def block(pa, pb):
+        return Permutation((*pa.images, *(d + i for i in pb.images)))
+
+    pad = len(first.extras) - len(second.extras)  # identities even out the extras
+    extras = zip(
+        first.extras + (Permutation.identity(d),) * -pad,
+        second.extras + (Permutation.identity(second.degree),) * pad,
+    )
+    return HurwitzCover(
+        d + second.degree,
+        **{mark: block(getattr(first, mark), getattr(second, mark)) for mark in SPECIAL_MARKS},
+        extras=tuple(block(pa, pb) for pa, pb in extras),
+    )
+
+
+class TestPullbackReference:
+    def test_fixed_curve_components_on_every_small_search(self, small_searches):
+        covers = [c for result in small_searches.values() for c in result.covers]
+        assert len(covers) > 100
+        for g in covers:
+            for component in C2_COMPONENTS:
+                assert report_items(pullback(component, g)) == report_items(reference_pullback(component, g)), g
+
+    def test_random_covers_with_extras_on_both_sides(self):
+        rng = random.Random(20261019)
+        for _ in range(200):
+            a = random_cover(rng, rng.randint(1, 5), rng.randint(1, 3))
+            g = random_cover(rng, rng.randint(1, 5), rng.randint(1, 3))
+            got = pullback(a, g)
+            assert report_items(got) == report_items(reference_pullback(a, g))
+            assert list(got[0].profiles)[3:] == [
+                *(f"a:{m}" for m in a.marks[3:]),
+                *(f"b:{m}" for m in g.marks[3:]),
+            ]
+
+    def test_disconnected_covers(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            a = direct_sum(random_cover(rng, rng.randint(1, 3), rng.randint(0, 2)), HurwitzCover(rng.randint(1, 3)))
+            g = direct_sum(random_cover(rng, rng.randint(1, 4), rng.randint(0, 2)),
+                           random_cover(rng, rng.randint(1, 3), rng.randint(0, 2)))
+            assert validate(a) and validate(g)
+            for base, cover in ((a, g), (g, a), (a, a)):
+                reports = pullback(base, cover)
+                assert len(reports) >= 2
+                assert report_items(reports) == report_items(reference_pullback(base, cover))
+
+
 class TestC2Components:
     def test_built_once(self):
         # a constant built at import, the very tuple the Hodge pipeline pulls back
@@ -374,9 +492,10 @@ def reference_search(b, limit, max_candidates):
 
 
 class TestSearchEquivalence:
-    def test_every_datum_up_to_degree_five(self):
-        for b in admissible_branch_data(5):
-            assert search_tuples(b) == reference_search(b, 16, 2_000_000), b
+    def test_every_datum_up_to_degree_five(self, small_searches):
+        assert len(small_searches) == 68
+        for b, result in small_searches.items():
+            assert result == reference_search(b, 16, 2_000_000), b
 
     def test_sample_of_degrees_six_and_eight_at_a_small_budget(self):
         catalog = admissible_branch_data(8)
