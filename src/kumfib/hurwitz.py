@@ -132,11 +132,11 @@ class BranchData:
     r: int
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(sorted((int(v) for v in self.x), reverse=True)))
-        object.__setattr__(self, "y", tuple(sorted((int(v) for v in self.y), reverse=True)))
-        object.__setattr__(self, "z", tuple(sorted((int(v) for v in self.z), reverse=True)))
-        for name, part in (("x", self.x), ("y", self.y), ("z", self.z)):
-            if any(v < 1 for v in part):
+        parts = [(name, tuple(sorted(map(int, getattr(self, name)), reverse=True))) for name in "xyz"]
+        for name, part in parts:
+            object.__setattr__(self, name, part)
+        for name, part in parts:
+            if part and part[-1] < 1:  # the least part is last
                 raise HurwitzError(f"partition {name} has nonpositive parts: {part}")
             if sum(part) != self.n:
                 raise HurwitzError(f"partition {name}={part} does not sum to n={self.n}")
@@ -160,12 +160,8 @@ class BranchData:
         return sum(1 for v in self.z if v % 2)
 
     def total_ramification(self) -> int:
-        return (
-            sum(v - 1 for v in self.x)
-            + sum(v - 1 for v in self.y)
-            + sum(v - 1 for v in self.z)
-            + self.r
-        )
+        # sum(v - 1 for v in p) = n - len(p), as each partition sums to n
+        return 3 * self.n - self.k - self.l - self.m + self.r
 
     def admits_rational_cover(self) -> bool:
         """Riemann-Hurwitz for a genus-0 source: total ramification = 2n - 2."""

@@ -146,10 +146,12 @@ def cycles_of(w: list[int]) -> list[list[int]]:
 
 def compose_all(perms, degree: int) -> Permutation:
     """Compose so the first listed permutation acts first."""
-    result = Permutation.identity(degree)
+    images = range(1, degree + 1)
     for p in perms:
-        result = p * result
-    return result
+        if p.degree != degree:
+            raise PermutationError("degree mismatch in composition")
+        images = [p.images[j - 1] for j in images]
+    return Permutation(images)
 
 
 def orbits(degree: int, generators) -> list[tuple[int, ...]]:
@@ -176,7 +178,18 @@ def orbits(degree: int, generators) -> list[tuple[int, ...]]:
 
 
 def is_transitive(degree: int, generators) -> bool:
-    return len(orbits(degree, generators)) == 1
+    """Whether the orbit of 1 under <generators> is all of {1..degree}."""
+    images = [g.images for g in generators]
+    seen = {1}
+    frontier = [1]
+    while frontier:
+        x = frontier.pop() - 1
+        for w in images:
+            y = w[x]
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return len(seen) == degree
 
 
 def group_closure(generators, limit: int = 100000) -> list[Permutation]:

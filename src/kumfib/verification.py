@@ -14,11 +14,11 @@ command-line `verify-paper` subcommand and the acceptance test module both run
 exactly these checks.
 
 Two checks also compare against an independent symbolic oracle in sympy's
-sparse polynomial arithmetic, whose elements are kept in canonical form, so
-an identity holds exactly when the difference compares equal to 0: the
-discriminant factorization is expanded in the ring Q[a, b], and each Kummer
-involution's residual is computed in the rational-function field
-Q(nu, s, t, u).
+sparse polynomial rings, whose elements are kept in canonical form, so an
+identity holds exactly when a polynomial compares equal to 0: the
+discriminant factorization is expanded in Q[a, b], and each Kummer
+involution's residual is one unreduced fraction over Q[nu, s, t, u], whose
+numerator is tested.
 """
 
 from __future__ import annotations
@@ -240,20 +240,81 @@ def _check_deck_group():
 _INVOLUTIONS = ("beta", "iota", "iota_prime")
 
 
-def _involution_residual(which: str):
-    """F(image) - (u'/u)^2 F for family.apply_involution on a symbolic point.
+class _Quotient:
+    """num/den over a polynomial ring, never reduced: field arithmetic without its gcds.
 
-    The point's coordinates are the generators of sympy's sparse field
-    Q(nu, s, t, u), whose elements are stored as reduced fractions, so the
-    residual is exactly 0 when the coordinate map preserves the hypersurface.
+    a/b + c/d = (ad + cb)/bd, a/b * c/d = ac/bd and a/b / c/d = ad/bc, with
+    int operands as c/1.  A denominator is a product of nonzero polynomials,
+    so a quotient is 0 exactly when its numerator is; `==` compares ad with cb.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        self.num, self.den = num, den
+
+    @staticmethod
+    def _pair(other):
+        return (other.num, other.den) if isinstance(other, _Quotient) else (other, 1)
+
+    def __add__(self, other):
+        c, d = self._pair(other)
+        return _Quotient(self.num * d + c * self.den, self.den * d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        c, d = self._pair(other)
+        return _Quotient(self.num * d - c * self.den, self.den * d)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __neg__(self):
+        return _Quotient(-self.num, self.den)
+
+    def __mul__(self, other):
+        c, d = self._pair(other)
+        return _Quotient(self.num * c, self.den * d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        c, d = self._pair(other)
+        if not c:
+            raise ZeroDivisionError("division by the zero polynomial")
+        return _Quotient(self.num * d, self.den * c)
+
+    def __rtruediv__(self, other):
+        if not self.num:
+            raise ZeroDivisionError("division by the zero polynomial")
+        return _Quotient(other * self.den, self.num)
+
+    def __pow__(self, k: int):
+        return _Quotient(self.num**k, self.den**k)
+
+    def __eq__(self, other):
+        c, d = self._pair(other)
+        return self.num * d == c * self.den
+
+
+def _involution_residual(which: str):
+    """The numerator of F(image) - (u'/u)^2 F for family.apply_involution on a symbolic point.
+
+    The point's coordinates are the generators of sympy's sparse ring
+    Q[nu, s, t, u], each over 1, and the maps and F run on `_Quotient`s, which
+    never reduce.  Every denominator is a product of nonzero polynomials, so
+    the coordinate map preserves the hypersurface exactly when the returned
+    numerator is 0.
     """
     from sympy import QQ
-    from sympy.polys.fields import field
+    from sympy.polys.rings import ring
 
-    _, nu, s, t, u = field("nu, s, t, u", QQ)
+    R, *gens = ring("nu, s, t, u", QQ)
+    nu, s, t, u = (_Quotient(g, R.one) for g in gens)
     image = family.apply_involution(which, family.KummerPoint(nu, s, t, u))
     F = family.kummer_rhs
-    return F(image.nu, image.s, image.t) - (image.u / u) ** 2 * F(nu, s, t)
+    return (F(image.nu, image.s, image.t) - (image.u / u) ** 2 * F(nu, s, t)).num
 
 
 @_check("kummer-involutions", "beta, iota, iota' preserve the Kummer hypersurface; beta^2 = iota^2 = id")

@@ -225,3 +225,56 @@ def test_symbolic_residuals_run_the_shipped_maps(monkeypatch):
         assert {w: r != 0 for w, r in residuals.items()} == {
             w: w == wrong for w in ("beta", "iota", "iota_prime")
         }, wrong
+
+
+def reference_involution_residual(which):
+    """The former definition: the residual in sympy's field Q(nu, s, t, u), a reduction per operation."""
+    from sympy import QQ
+    from sympy.polys.fields import field
+
+    _, nu, s, t, u = field("nu, s, t, u", QQ)
+    image = family.apply_involution(which, family.KummerPoint(nu, s, t, u))
+    F = family.kummer_rhs
+    return F(image.nu, image.s, image.t) - (image.u / u) ** 2 * F(nu, s, t)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [lambda monkeypatch: None, BETA_SCALES_S_BY_R_CUBED, IOTA_WITHOUT_SWAP, IOTA_PRIME_SCALES_T],
+    ids=["shipped", "beta-scales-s-by-r-cubed", "iota-without-swap", "iota-prime-scales-t"],
+)
+def test_residual_numerator_vanishes_with_the_field_residual(monkeypatch, fault):
+    fault(monkeypatch)
+    for which in ("beta", "iota", "iota_prime"):
+        numerator = verification._involution_residual(which)
+        assert (numerator == 0) == (reference_involution_residual(which) == 0), which
+
+
+@pytest.mark.parametrize(
+    "image",
+    [
+        lambda p: family.KummerPoint(p.nu / (p.nu - p.nu), p.s, p.t, p.u),
+        lambda p: family.KummerPoint(p.nu, 1 / (p.s - p.s), p.t, p.u),
+        lambda p: family.KummerPoint(p.nu, p.s, p.t / 0, p.u),
+    ],
+    ids=["by-zero-polynomial", "int-by-zero-polynomial", "by-int-zero"],
+)
+def test_residual_zero_divisor_raises(monkeypatch, image):
+    _wrong_involution("beta", image)(monkeypatch)
+    for residual in (verification._involution_residual, reference_involution_residual):
+        with pytest.raises(ZeroDivisionError):
+            residual("beta")
+
+
+def test_residuals_run_no_gcd(monkeypatch):
+    from sympy.polys.rings import PolyElement
+
+    calls = []
+    cancel = PolyElement.cancel
+    monkeypatch.setattr(PolyElement, "cancel", lambda *a: calls.append(a) or cancel(*a))
+    for which in ("beta", "iota", "iota_prime"):
+        verification._involution_residual(which)
+    assert calls == []
+    # the counter sees the field's reductions
+    reference_involution_residual("beta")
+    assert calls

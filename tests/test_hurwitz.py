@@ -55,6 +55,33 @@ class TestCycleNotation:
             Permutation.from_cycle_string(3, text)
 
 
+class TestPermutationHelpers:
+    @staticmethod
+    def random_generator_sets(seed, count=300):
+        rng = random.Random(seed)
+        for _ in range(count):
+            degree = rng.randint(1, 8)
+            yield degree, [Permutation(rng.sample(range(1, degree + 1), degree)) for _ in range(rng.randint(0, 3))]
+
+    def test_is_transitive_is_one_orbit(self):
+        sets = list(self.random_generator_sets(20261019))
+        assert {is_transitive(d, g) for d, g in sets} == {True, False}
+        assert any(d == 1 for d, _ in sets)
+        for degree, generators in sets:
+            assert is_transitive(degree, generators) == (len(orbits(degree, generators)) == 1), generators
+
+    def test_compose_all_is_the_product(self):
+        for degree, perms in self.random_generator_sets(1019):
+            product = Permutation.identity(degree)
+            for p in perms:
+                product = p * product
+            assert compose_all(perms, degree) == product
+
+    def test_compose_all_degree_mismatch(self):
+        with pytest.raises(PermutationError, match="degree mismatch in composition"):
+            compose_all([perm(3, (1, 2)), perm(2, (1, 2))], 3)
+
+
 class TestValidate:
     def test_double_cover_ok(self):
         cover = HurwitzCover(2, infinity=perm(2, (1, 2)), zero=perm(2, (1, 2)))
@@ -149,6 +176,36 @@ class TestBranchData:
     def test_part_counts(self):
         b = BranchData(n=8, x=(2, 2, 2, 2), y=(4, 4), z=(2, 2, 2, 2), r=0)
         assert (b.k, b.l, b.m, b.m_odd) == (4, 2, 4, 0)
+
+    def test_total_ramification_is_the_sum_of_v_minus_one(self):
+        for n in range(1, 7):
+            for x, y, z in itertools.product(list(partitions(n)), repeat=3):
+                for r in range(2 * n):
+                    b = BranchData(n=n, x=x, y=y, z=z, r=r)
+                    assert b.total_ramification() == sum(v - 1 for v in x + y + z) + r, b
+
+    @pytest.mark.parametrize(
+        "fields, error, message",
+        [
+            (dict(x=(3, 0), y=(2, 1)), HurwitzError, "partition x has nonpositive parts: (3, 0)"),
+            (dict(x=(4, -1)), HurwitzError, "partition x has nonpositive parts: (4, -1)"),
+            (dict(y=(2, 2)), HurwitzError, "partition y=(2, 2) does not sum to n=3"),
+            # x is validated before y, and a sum before the next partition
+            (dict(x=(1, 1), y=(0, 3)), HurwitzError, "partition x=(1, 1) does not sum to n=3"),
+            (dict(z=(1, 1, 1, 1)), HurwitzError, "partition z=(1, 1, 1, 1) does not sum to n=3"),
+            (dict(r=-1), HurwitzError, "negative extra ramification r=-1"),
+            # every partition is converted before any is validated
+            (dict(x=(0, 3), z=("a",)), ValueError, "invalid literal for int() with base 10: 'a'"),
+            (dict(y=(None,)), TypeError, "int() argument must be a string"),
+        ],
+    )
+    def test_error_messages(self, fields, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            BranchData(**{"n": 3, "x": (3,), "y": (2, 1), "z": (1, 1, 1), "r": 0, **fields})
+
+    def test_parts_converted_and_sorted(self):
+        b = BranchData(n=4, x=["1", 3], y=(1.0, 2, 1), z=(4,), r=0)
+        assert (b.x, b.y, b.z) == ((3, 1), (2, 1, 1), (4,))
 
     def test_of_cover(self):
         b = branch_data_of(regular_deck_cover())
