@@ -36,8 +36,10 @@ from .permutations import (
     Permutation,
     compose_all,
     cycles_of,
+    exact_ints,
     group_closure,
     is_transitive,
+    orbit_labels,
 )
 
 SPECIAL_MARKS = ("quarter256", "infinity", "zero")
@@ -132,9 +134,13 @@ class BranchData:
     r: int
 
     def __post_init__(self):
-        parts = [(name, tuple(sorted(map(int, getattr(self, name)), reverse=True))) for name in "xyz"]
-        for name, part in parts:
-            object.__setattr__(self, name, part)
+        n, r = exact_ints((self.n, self.r), HurwitzError)
+        parts = [
+            (name, tuple(sorted(exact_ints(getattr(self, name), HurwitzError), reverse=True)))
+            for name in "xyz"
+        ]
+        for name, value in (("n", n), ("r", r), *parts):
+            object.__setattr__(self, name, value)
         for name, part in parts:
             if part and part[-1] < 1:  # the least part is last
                 raise HurwitzError(f"partition {name} has nonpositive parts: {part}")
@@ -228,34 +234,19 @@ def pullback(base_cover: HurwitzCover, g: HurwitzCover) -> list[ComponentReport]
     d, n = base_cover.degree, g.degree
 
     def pair_images(pa, pb) -> list[int]:
-        # pa, pb: 1-based image tuples; (a, b) -> (pa(a), pb(b)) on 0-based pair indices
-        return [(i - 1) * n + j - 1 for i in pa for j in pb]
+        # (a, b) -> (pa[a], pb[b]) on pair indices
+        return [i * n + j for i in pa for j in pb]
 
     generators = {
         mark: pair_images(getattr(base_cover, mark).images, getattr(g, mark).images)
         for mark in SPECIAL_MARKS
     }
     for mark, pa in zip(base_cover.marks[3:], base_cover.extras):
-        generators[f"a:{mark}"] = pair_images(pa.images, range(1, n + 1))
+        generators[f"a:{mark}"] = pair_images(pa.images, range(n))
     for mark, pb in zip(g.marks[3:], g.extras):
-        generators[f"b:{mark}"] = pair_images(range(1, d + 1), pb.images)
+        generators[f"b:{mark}"] = pair_images(range(d), pb.images)
 
-    images = list(generators.values())
-    orbit_of = [-1] * (d * n)
-    sizes: list[int] = []  # orbit sizes, orbits numbered by least pair index
-    for start in range(d * n):
-        if orbit_of[start] >= 0:
-            continue
-        label = len(sizes)
-        orbit_of[start] = label
-        frontier = [start]
-        for p in frontier:  # grows while it is walked
-            for w in images:
-                q = w[p]
-                if orbit_of[q] < 0:
-                    orbit_of[q] = label
-                    frontier.append(q)
-        sizes.append(len(frontier))
+    orbit_of, sizes = orbit_labels(d * n, generators.values())
     lengths = [{mark: [] for mark in generators} for _ in sizes]
     for mark, w in generators.items():
         for cycle in cycles_of(w):
@@ -308,13 +299,10 @@ def regular_deck_cover() -> HurwitzCover:
     elements = group_closure(gens)
     if len(elements) != 8:
         raise HurwitzError(f"deck group has order {len(elements)}, expected 8")
-    index = {e: i + 1 for i, e in enumerate(elements)}
+    index = {e: i for i, e in enumerate(elements)}
 
     def left_mult(gamma: Permutation) -> Permutation:
-        images = [0] * len(elements)
-        for e, i in index.items():
-            images[i - 1] = index[gamma * e]
-        return Permutation(images)
+        return Permutation(index[gamma * e] for e in elements)
 
     return HurwitzCover(8, **{mark: left_mult(g) for mark, g in REFERENCE_TABLE.items()})
 
@@ -339,7 +327,7 @@ def _permutations_of_type(n: int, cycle_type: tuple[int, ...]) -> tuple[Permutat
     """
     if any(length < 1 for length in cycle_type) or sum(cycle_type) != n:
         return ()
-    images = list(range(1, n + 1))
+    images = list(range(n))
     out: list[tuple[int, ...]] = []
 
     def place(free: list[int], lengths: list[int]) -> None:
@@ -353,10 +341,10 @@ def _permutations_of_type(n: int, cycle_type: tuple[int, ...]) -> tuple[Permutat
             for others in itertools.permutations(rest, length - 1):
                 cycle = (start, *others)
                 for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                    images[a - 1] = b
+                    images[a] = b
                 place([p for p in rest if p not in others], remaining)
 
-    place(list(range(1, n + 1)), list(cycle_type))
+    place(list(range(n)), list(cycle_type))
     out.sort()
     return tuple(map(Permutation, out))
 
@@ -379,20 +367,18 @@ def canonical_key(n: int, perms: tuple[Permutation, ...]):
     resulting image table.
     """
     best = None
-    for start in range(1, n + 1):
-        relabel = {start: 1}
+    for start in range(n):
+        relabel = {start: 0}
         order = [start]
         for p in order:
             for perm in perms:
-                q = perm(p)
+                q = perm.images[p]
                 if q not in relabel:
-                    relabel[q] = len(relabel) + 1
+                    relabel[q] = len(relabel)
                     order.append(q)
         if len(relabel) != n:
             raise HurwitzError("canonical key requires a transitive tuple")
-        key = tuple(
-            tuple(relabel[perm(p)] for p in order) for perm in perms
-        )
+        key = tuple(tuple(relabel[perm.images[p]] for p in order) for perm in perms)
         if best is None or key < best:
             best = key
     return best
@@ -457,7 +443,7 @@ def search_tuples(
     sigma_inf = _canonical_representative(n, b.y)
     z_class = _permutations_of_type(n, b.z)
     pairs, pair_number = _pairs(n)
-    transpositions = [Permutation.from_cycles(n, [pair]) for pair in pairs]
+    transpositions = [Permutation(_after(pair, range(n))) for pair in pairs]
     sigma_inf_inv = sigma_inf.inverse()
 
     hits = _hits(sigma_inf, z_class, b.x, b.r, max_candidates)
@@ -480,11 +466,8 @@ def search_tuples(
         for image in centralizer:
             conjugate = [0] * n
             for p, s in zip(image, sigma_c.images):
-                conjugate[p - 1] = image[s - 1]
-            moved = tuple(
-                pair_number[(image[pairs[k][0] - 1] - 1) * n + image[pairs[k][1] - 1] - 1]
-                for k in index
-            )
+                conjugate[p] = image[s]
+            moved = tuple(pair_number[image[pairs[k][0]] * n + image[pairs[k][1]]] for k in index)
             seen.add((moved, tuple(conjugate)))
         found.append(
             HurwitzCover(n, quarter256=sigma_c, infinity=sigma_inf, zero=sigma_0, extras=extras)
@@ -496,14 +479,14 @@ def search_tuples(
 
 
 def _pairs(n: int) -> tuple[list[tuple[int, int]], list[int]]:
-    """The transpositions (i j), i < j, in lexicographic order, and their numbers.
+    """The transpositions (i j) of 0..n-1, i < j, in lexicographic order, and their numbers.
 
-    The number k of (i j) is at (i - 1) n + (j - 1) and at (j - 1) n + (i - 1).
+    The number k of (i j) is at i n + j and at j n + i.
     """
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     number = [0] * (n * n)
     for k, (i, j) in enumerate(pairs):
-        number[(i - 1) * n + j - 1] = number[(j - 1) * n + i - 1] = k
+        number[i * n + j] = number[j * n + i] = k
     return pairs, number
 
 
@@ -515,7 +498,7 @@ def _centralizer(n: int, cycle_type: tuple[int, ...]) -> tuple[tuple[int, ...], 
     prod l^m_l m_l! of them for m_l cycles of length l.
     """
     cycles_by_length: dict[int, list[tuple[int, ...]]] = {}
-    for cycle in _canonical_representative(n, cycle_type).cycles(include_fixed=True):
+    for cycle in cycles_of(_canonical_representative(n, cycle_type).images):
         cycles_by_length.setdefault(len(cycle), []).append(cycle)
     moves_by_length = []  # for each length, every map of its points that commutes
     for length, cycles in cycles_by_length.items():
@@ -533,7 +516,7 @@ def _centralizer(n: int, cycle_type: tuple[int, ...]) -> tuple[tuple[int, ...], 
         images = [0] * n
         for move in choice:
             for p, q in move:
-                images[p - 1] = q
+                images[p] = q
         elements.append(tuple(images))
     return tuple(sorted(elements))
 
@@ -563,10 +546,9 @@ def _hits(sigma_inf: Permutation, z_class, x: tuple[int, ...], r: int, budget: i
         base = number * per_prefix
         if base >= budget:
             return
-        u_at = [0, *u].__getitem__  # u_at(s) = u(s) - 1 for s in 1..n
         local = []  # k |class| + class index of each hit
         for ci, sigma_c in enumerate(z_class):
-            w = list(map(u_at, sigma_c.images))  # w(p) - 1 at p - 1
+            w = list(map(u.__getitem__, sigma_c.images))
             cycles = cycles_of(w)
             if len(cycles) not in cycle_counts:
                 continue
@@ -626,9 +608,9 @@ def _move_to(shape: tuple[int, ...], x: tuple[int, ...]) -> tuple[str, int, int]
 def _extras_composites(sigma_inf: Permutation, pairs: list[tuple[int, int]], r: int):
     """(indices, v) for each r-tuple of transpositions t_1..t_r, in itertools.product order.
 
-    v = t_r ... t_1 sigma_inf as the list of v(p) - 1 for p = 1..n, so that
-    mapping a permutation's images over it composes; each prefix composite
-    is made once and shared by every tuple that extends it.
+    v = t_r ... t_1 sigma_inf as an image list, so that mapping a
+    permutation's images over it composes; each prefix composite is made
+    once and shared by every tuple that extends it.
     """
 
     def extend(prefix: tuple[int, ...], v: list[int]):
@@ -638,12 +620,12 @@ def _extras_composites(sigma_inf: Permutation, pairs: list[tuple[int, int]], r: 
         for k, pair in enumerate(pairs):
             yield from extend(prefix + (k,), _after(pair, v))
 
-    return extend((), [p - 1 for p in sigma_inf.images])
+    return extend((), list(sigma_inf.images))
 
 
-def _after(pair: tuple[int, int], v: list[int]) -> list[int]:
-    """(i j) v on the list of v(p) - 1: the values i - 1 and j - 1 swapped."""
+def _after(pair: tuple[int, int], v) -> list[int]:
+    """(i j) v on the image list of v: the values i and j swapped."""
     i, j = pair
     out = list(v)
-    out[v.index(i - 1)], out[v.index(j - 1)] = j - 1, i - 1
+    out[v.index(i)], out[v.index(j)] = j, i
     return out

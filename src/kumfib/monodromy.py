@@ -342,7 +342,7 @@ def _match(final, base_roots) -> Permutation:
         if j in used:
             raise MonodromyError("two roots matched the same base root")
         used.add(j)
-        images[i] = j + 1
+        images[i] = j
     return Permutation(images)
 
 
@@ -458,10 +458,9 @@ def find_relabeling(table: PunctureTable) -> Permutation | None:
     the images is returned, so the choice is deterministic and documentable.
     """
     computed = table.as_dict()
-    for images in itertools.permutations(range(1, 7)):
-        if frozenset(images[:3]) not in (BLOCK_ONE, BLOCK_TWO):
+    for rho in map(Permutation, itertools.permutations(range(6))):
+        if frozenset(map(rho, BLOCK_ONE)) not in (BLOCK_ONE, BLOCK_TWO):
             continue
-        rho = Permutation(images)
         if all(computed[mark].conjugate_by(rho) == p for mark, p in REFERENCE_TABLE.items()):
             return rho
     return None

@@ -1,13 +1,17 @@
 """Permutations of {1..n} with cycle-notation I/O and orbit utilities.
 
 Composition convention used across the whole package: (p * q)(x) = p(q(x)),
-i.e. the right factor acts first.  Points are 1-based everywhere in the
-public interface; cycle strings look like "(1 5 2 4)(3 6)" and are
-whitespace- and comma-insensitive.
+i.e. the right factor acts first.  A Permutation stores its images 0-based,
+`images[i] = p(i + 1) - 1`, and every kernel here and in `hurwitz` reads
+them as they are.  Points are 1-based only at the mathematical boundary:
+cycle notation (`from_cycles`, `from_cycle_string`, `cycles`,
+`cycle_string`) and `p(point)`.  Cycle strings look like "(1 5 2 4)(3 6)"
+and are whitespace- and comma-insensitive.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 
 
@@ -15,38 +19,55 @@ class PermutationError(ValueError):
     """Malformed permutation data."""
 
 
+def exact_ints(values, error=PermutationError) -> tuple[int, ...]:
+    """The values as int() reads them; a number that int() would change raises `error`."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:  # a numeral string or a whole float reads as itself
+        ints = tuple(map(int, values))
+    for value, i in zip(values, ints):
+        if value != i and not isinstance(value, str):
+            raise error(f"not an integer: {value!r}")
+    return ints
+
+
 class Permutation:
-    """A bijection of {1..n}, stored as the tuple of images of 1..n."""
+    """A bijection p of {1..n}, stored as the tuple of p(i + 1) - 1 for i in 0..n-1.
+
+    `Permutation(images)` takes those 0-based images; `p(point)` and the
+    cycle notation speak of the points 1..n.
+    """
 
     __slots__ = ("images",)
 
     def __init__(self, images):
-        imgs = tuple(int(i) for i in images)
+        imgs = exact_ints(images)
         n = len(imgs)
-        if sorted(imgs) != list(range(1, n + 1)):
-            raise PermutationError(f"not a bijection of 1..{n}: {imgs}")
+        if sorted(imgs) != list(range(n)):
+            raise PermutationError(f"images are not a bijection of 0..{n - 1}: {imgs}")
         object.__setattr__(self, "images", imgs)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def identity(n: int) -> "Permutation":
-        return Permutation(range(1, n + 1))
+        return Permutation(range(n))
 
     @staticmethod
     def from_cycles(n: int, cycles) -> "Permutation":
         """The product of disjoint cycles; a point in two cycles, or twice in one, is refused."""
-        imgs = list(range(1, n + 1))
+        imgs = list(range(n))
         seen: set[int] = set()
         for cyc in cycles:
-            cyc = [int(c) for c in cyc]
+            cyc = list(exact_ints(cyc))
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 if not 1 <= a <= n:
                     raise PermutationError(f"point {a} outside 1..{n}")
                 if a in seen:
                     raise PermutationError(f"point {a} appears twice; cycles must be disjoint")
                 seen.add(a)
-                imgs[a - 1] = b
+                imgs[a - 1] = b - 1
         return Permutation(imgs)
 
     @staticmethod
@@ -69,7 +90,7 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, point: int) -> int:
-        return self.images[point - 1]
+        return self.images[point - 1] + 1
 
     def __eq__(self, other):
         if not isinstance(other, Permutation):
@@ -82,17 +103,17 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.degree != other.degree:
             raise PermutationError("degree mismatch in composition")
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
+        return Permutation(map(self.images.__getitem__, other.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
-        for i, j in enumerate(self.images, start=1):
-            inv[j - 1] = i
+        for i, j in enumerate(self.images):
+            inv[j] = i
         return Permutation(inv)
 
     @property
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images, start=1))
+        return self.images == tuple(range(self.degree))
 
     # -- cycle structure -------------------------------------------------------
 
@@ -100,13 +121,13 @@ class Permutation:
         """Disjoint cycles, each starting at its least point, sorted."""
         return [
             tuple(p + 1 for p in cycle)
-            for cycle in cycles_of([i - 1 for i in self.images])
+            for cycle in cycles_of(self.images)
             if include_fixed or len(cycle) > 1
         ]
 
     def cycle_type(self) -> tuple[int, ...]:
         """Partition of n by cycle lengths, largest first."""
-        return tuple(sorted(map(len, cycles_of([i - 1 for i in self.images])), reverse=True))
+        return tuple(sorted(map(len, cycles_of(self.images)), reverse=True))
 
     @property
     def is_odd(self) -> bool:
@@ -126,7 +147,7 @@ class Permutation:
         return f"Permutation[{self.cycle_string()}]"
 
 
-def cycles_of(w: list[int]) -> list[list[int]]:
+def cycles_of(w) -> list[list[int]]:
     """The cycles of the permutation p -> w[p] of 0..n-1, in cycle order, by least point."""
     out = []
     visited = [False] * len(w)
@@ -146,11 +167,11 @@ def cycles_of(w: list[int]) -> list[list[int]]:
 
 def compose_all(perms, degree: int) -> Permutation:
     """Compose so the first listed permutation acts first."""
-    images = range(1, degree + 1)
+    images = range(degree)
     for p in perms:
         if p.degree != degree:
             raise PermutationError("degree mismatch in composition")
-        images = [p.images[j - 1] for j in images]
+        images = [p.images[j] for j in images]
     return Permutation(images)
 
 
@@ -177,19 +198,34 @@ def orbits(degree: int, generators) -> list[tuple[int, ...]]:
     return out
 
 
+def orbit_labels(size: int, image_lists) -> tuple[list[int], list[int]]:
+    """The orbits of the maps p -> w[p] on 0..size-1, one image list w per map.
+
+    Returns (orbit_of, sizes): orbit_of[p] numbers the orbit of p, orbits
+    numbered by least point, and sizes[k] is the size of orbit k.
+    """
+    images = list(image_lists)
+    orbit_of = [-1] * size
+    sizes: list[int] = []
+    for start in range(size):
+        if orbit_of[start] >= 0:
+            continue
+        label = len(sizes)
+        orbit_of[start] = label
+        frontier = [start]
+        for p in frontier:  # grows while it is walked
+            for w in images:
+                q = w[p]
+                if orbit_of[q] < 0:
+                    orbit_of[q] = label
+                    frontier.append(q)
+        sizes.append(len(frontier))
+    return orbit_of, sizes
+
+
 def is_transitive(degree: int, generators) -> bool:
-    """Whether the orbit of 1 under <generators> is all of {1..degree}."""
-    images = [g.images for g in generators]
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        x = frontier.pop() - 1
-        for w in images:
-            y = w[x]
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == degree
+    """Whether <generators> has one orbit on {1..degree}."""
+    return orbit_labels(degree, [g.images for g in generators])[1] == [degree]
 
 
 def group_closure(generators, limit: int = 100000) -> list[Permutation]:

@@ -446,7 +446,7 @@ def _check_pullback_accounting():
     def random_cover(degree: int, marks: int) -> hurwitz.HurwitzCover:
         perms = []
         for _ in range(marks - 1):
-            images = list(range(1, degree + 1))
+            images = list(range(degree))
             rng.shuffle(images)
             perms.append(Permutation(images))
         perms.append(compose_all(perms, degree).inverse())  # forces identity product

@@ -35,7 +35,15 @@ from kumfib.hurwitz import (
     search_tuples,
     validate,
 )
-from kumfib.permutations import Permutation, PermutationError, compose_all, is_transitive, orbits
+from kumfib.monodromy import REFERENCE_TABLE
+from kumfib.permutations import (
+    Permutation,
+    PermutationError,
+    compose_all,
+    is_transitive,
+    orbit_labels,
+    orbits,
+)
 
 
 def perm(n, *cycles):
@@ -54,6 +62,23 @@ class TestCycleNotation:
         with pytest.raises(PermutationError, match="cycles must be disjoint"):
             Permutation.from_cycle_string(3, text)
 
+    def test_images_are_zero_based_points_one_based(self):
+        with pytest.raises(PermutationError):
+            Permutation((1, 2, 3))  # 1-based images of the identity
+        swap = Permutation((1, 0))
+        assert (swap(1), swap(2), swap.cycle_string()) == (2, 1, "(1 2)")
+        for perm in REFERENCE_TABLE.values():
+            assert Permutation.from_cycle_string(6, perm.cycle_string()) == perm
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: Permutation([1.5, 2.7]), lambda: Permutation.from_cycles(3, [(1.9, 2)])],
+        ids=["images", "cycles"],
+    )
+    def test_non_integers_refused(self, build):
+        with pytest.raises(PermutationError, match="not an integer"):
+            build()
+
 
 class TestPermutationHelpers:
     @staticmethod
@@ -61,14 +86,18 @@ class TestPermutationHelpers:
         rng = random.Random(seed)
         for _ in range(count):
             degree = rng.randint(1, 8)
-            yield degree, [Permutation(rng.sample(range(1, degree + 1), degree)) for _ in range(rng.randint(0, 3))]
+            yield degree, [Permutation(rng.sample(range(degree), degree)) for _ in range(rng.randint(0, 3))]
 
     def test_is_transitive_is_one_orbit(self):
         sets = list(self.random_generator_sets(20261019))
         assert {is_transitive(d, g) for d, g in sets} == {True, False}
         assert any(d == 1 for d, _ in sets)
+        assert any(not g for _, g in sets)
         for degree, generators in sets:
             assert is_transitive(degree, generators) == (len(orbits(degree, generators)) == 1), generators
+            orbit_of, sizes = orbit_labels(degree, [g.images for g in generators])
+            labelled = [tuple(p + 1 for p in range(degree) if orbit_of[p] == k) for k in range(len(sizes))]
+            assert labelled == orbits(degree, generators) and sizes == list(map(len, labelled)), generators
 
     def test_compose_all_is_the_product(self):
         for degree, perms in self.random_generator_sets(1019):
@@ -197,6 +226,11 @@ class TestBranchData:
             # every partition is converted before any is validated
             (dict(x=(0, 3), z=("a",)), ValueError, "invalid literal for int() with base 10: 'a'"),
             (dict(y=(None,)), TypeError, "int() argument must be a string"),
+            # a number that int() would truncate is refused, not truncated
+            (dict(x=(1.5, 1.5, 1), y=(2.9, 1)), HurwitzError, "not an integer: 1.5"),
+            (dict(y=(2.9, 1)), HurwitzError, "not an integer: 2.9"),
+            (dict(r=0.5), HurwitzError, "not an integer: 0.5"),
+            (dict(n=3.5), HurwitzError, "not an integer: 3.5"),
         ],
     )
     def test_error_messages(self, fields, error, message):
@@ -269,7 +303,7 @@ class TestPullback:
             def rand_cover(k):
                 ps = []
                 for _ in range(2):
-                    images = list(range(1, k + 1))
+                    images = list(range(k))
                     rng.shuffle(images)
                     ps.append(Permutation(images))
                 closing = (ps[1] * ps[0]).inverse()
@@ -324,7 +358,7 @@ def reference_pullback(base_cover, g):
     d, n = base_cover.degree, g.degree
 
     def pair_perm(pa, pb):
-        return Permutation((a - 1) * n + b for a in pa.images for b in pb.images)
+        return Permutation(a * n + b for a in pa.images for b in pb.images)
 
     generators = {
         mark: pair_perm(getattr(base_cover, mark), getattr(g, mark)) for mark in SPECIAL_MARKS
@@ -363,7 +397,7 @@ def random_cover(rng, degree, base_extras):
     """A seeded cover with random special permutations and `base_extras` random extras."""
 
     def shuffled():
-        images = list(range(1, degree + 1))
+        images = list(range(degree))
         rng.shuffle(images)
         return Permutation(images)
 
@@ -610,7 +644,7 @@ class TestSearchEquivalence:
 
 def commuting_filter(sigma):
     """The centralizer of sigma as the n! filter finds it, in lexicographic order of images."""
-    perms = map(Permutation, itertools.permutations(range(1, sigma.degree + 1)))
+    perms = map(Permutation, itertools.permutations(range(sigma.degree)))
     return tuple(rho for rho in perms if rho * sigma == sigma * rho)
 
 
@@ -656,7 +690,7 @@ class TestSeenSet:
 
 def filtered_class(n, cycle_type):
     """The class as the n! filter finds it, in lexicographic order of images."""
-    perms = map(Permutation, itertools.permutations(range(1, n + 1)))
+    perms = map(Permutation, itertools.permutations(range(n)))
     return tuple(p for p in perms if p.cycle_type() == cycle_type)
 
 

@@ -143,7 +143,7 @@ class TestLoops:
         table = tables[256].as_dict()
         first = next(
             rho
-            for rho in map(Permutation, itertools.permutations(range(1, 7)))
+            for rho in map(Permutation, itertools.permutations(range(6)))
             if deck_parity(rho).block_image != "broken"
             and all(table[m].conjugate_by(rho) == p for m, p in monodromy.REFERENCE_TABLE.items())
         )
