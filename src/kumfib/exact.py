@@ -11,10 +11,17 @@ Representation:
                    monic irreducible polynomial, or None for the point at
                    infinity.  Galois-conjugate complex points share one Place.
 
-Coefficients live in any field implementing +, -, *, /, ==, bool.  Plain ints
-are coerced to Fraction, so ordinary use is exact arithmetic over Q.  Because
+Coefficients live in any field implementing +, -, *, /, ==, bool.  Over Q an
+integral coefficient is stored as a plain int (a bool, another int subclass
+or a Fraction with denominator 1 included) and any other rational as a
+Fraction, so integer maps multiply and add in int arithmetic.  Every
+division goes through _div, which divides two ints exactly, to an int when
+the quotient is integral and to a Fraction otherwise, never to a float; so
+ordinary use is exact arithmetic over Q.  Evaluation at an int or a
+Fraction, and constant_value over Q, return a Fraction.  Because
 RationalFunction itself satisfies the field protocol, towers such as
-Q(nu)[s] or Q(nu)(s)(t) come for free by nesting.
+Q(nu)[s] or Q(nu)(s)(t) come for free by nesting; a nested field's
+elements keep their own division.
 
 Factorization into irreducibles delegates the factor-finding step to sympy
 (exact Zassenhaus-style factorization over Q, sympy imported only then);
@@ -38,16 +45,33 @@ class PoleError(ExactAlgebraError):
 
 
 def _coerce(c):
-    return Fraction(c) if isinstance(c, int) else c
+    """An integral rational as a plain int; any other coefficient as it is."""
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _div(a, b):
+    """The exact quotient a / b: of two ints an int when integral, else a Fraction."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
 
 
 class Polynomial:
-    """Dense univariate polynomial over a field (Q by default)."""
+    """Dense univariate polynomial over a field (Q by default).
+
+    `coeffs` holds the coefficients constant term first: over Q an int when
+    integral, else a Fraction.  Division of coefficients is exact (_div).
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_coerce(c) for c in coeffs]
+        cs = [c if type(c) is int else _coerce(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -180,7 +204,7 @@ class Polynomial:
         for k in reversed(range(len(q))):
             if not r[k + d]:  # a cancelled term: the quotient skips this degree
                 continue
-            c = q[k] = r[k + d] / lead
+            c = q[k] = _div(r[k + d], lead)
             for i in range(d):
                 r[k + i] = r[k + i] - c * b[i]
         return Polynomial(q), Polynomial(r[:d])
@@ -204,7 +228,7 @@ class Polynomial:
         if self.is_zero:
             return self
         lead = self.leading
-        return Polynomial(tuple(c / lead for c in self.coeffs))
+        return Polynomial(tuple(_div(c, lead) for c in self.coeffs))
 
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
@@ -213,12 +237,10 @@ class Polynomial:
 
     def __call__(self, x):
         """Evaluate by Horner; x may be any value the coefficients mix with."""
-        if not self.coeffs:
-            return 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
-        acc = self.coeffs[-1]
+        acc = self.coeffs[-1] if self.coeffs else 0 * x
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
-        return acc
+        return Fraction(acc) if isinstance(acc, int) else acc
 
     def __repr__(self):
         if self.is_zero:
@@ -259,7 +281,7 @@ class RationalFunction:
             den = den // g
         lead = den.leading
         if lead != 1:
-            num = num * Polynomial((1 / lead,))
+            num = num * Polynomial((_div(1, lead),))
             den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -293,7 +315,8 @@ class RationalFunction:
             raise ExactAlgebraError(f"{self!r} is not constant")
         if self.num.is_zero:
             return Fraction(0)
-        return self.num.coeffs[0] / self.den.coeffs[0]
+        v = _div(self.num.coeffs[0], self.den.coeffs[0])
+        return Fraction(v) if isinstance(v, int) else v
 
     def __bool__(self):
         return not self.num.is_zero
@@ -382,7 +405,7 @@ class RationalFunction:
         d = self.den(x)
         if not d:
             raise PoleError(f"pole at {x!r}")
-        return self.num(x) / d
+        return _div(self.num(x), d)
 
     def __repr__(self):
         if self.den == Polynomial.one():

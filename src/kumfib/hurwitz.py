@@ -72,8 +72,10 @@ class HurwitzCover:
     extras: tuple[Permutation, ...] = ()
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise HurwitzError(f"degree must be positive, got {self.degree}")
+        (degree,) = exact_ints((self.degree,), HurwitzError)
+        object.__setattr__(self, "degree", degree)
+        if degree < 1:
+            raise HurwitzError(f"degree must be positive, got {degree}")
         for mark in SPECIAL_MARKS:
             if getattr(self, mark) is None:
                 object.__setattr__(self, mark, Permutation.identity(self.degree))

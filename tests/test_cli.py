@@ -367,6 +367,19 @@ def test_removed_flags_exit_2(capsys, monkeypatch, args, unrecognized):
     assert captured.err.endswith(f"kumfib: error: unrecognized arguments: {unrecognized}\n")
 
 
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        ("monodromy", "5241c7f16c609ed8485966e75e86928fea994e0407487ada9f46643defa6151e"),
+        ("fibers", "9f811a387f117707bfa5fb553e6cd65104c038e3b770cbae1ea8266044818656"),
+    ],
+)
+def test_stdout_is_pinned(capsys, command, digest):
+    # byte-identical output: a change that moves these bytes on purpose updates the pin
+    code, out, _ = run([command], capsys)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestFibers:
     def test_reference_tables(self, capsys):
         code, out, _ = run(["fibers"], capsys)

@@ -28,15 +28,42 @@ def rf(num, den=(1,)):
     return RationalFunction(Polynomial(num), Polynomial(den))
 
 
+def _rational_coefficients(*fs):
+    """The rational coefficients of Polynomials and RationalFunctions, through every level of a tower."""
+    for f in fs:
+        if isinstance(f, RationalFunction):
+            yield from _rational_coefficients(f.num, f.den)
+        elif isinstance(f, Polynomial):
+            yield from _rational_coefficients(*f.coeffs)
+        else:
+            yield f
+
+
+def _is_exact(c):
+    """How a rational coefficient is stored: an int, or a Fraction that is not integral; never a float."""
+    return type(c) is int or (type(c) is F and c.denominator != 1)
+
+
 class TestPolynomial:
     def test_normalization_trims_trailing_zeros(self):
         assert Polynomial((1, 2, 0, 0)).degree == 1
         assert Polynomial(()).is_zero
         assert Polynomial((0,)).is_zero
 
-    def test_int_coefficients_become_fractions(self):
-        p = Polynomial((1, 2))
-        assert all(isinstance(c, F) for c in p.coeffs)
+    def test_coefficients_are_exact(self):
+        p = Polynomial((True, F(4, 2), 7, F(1, 2)))
+        assert [type(c) for c in p.coeffs] == [int, int, int, F]
+        assert p.coeffs == (1, 2, 7, F(1, 2))
+        # int / int would be a float, equal to its Fraction: check the types
+        quotients = [Polynomial((True, 1)).monic(), Polynomial((2, 3)).monic(), *divmod(p, Polynomial((1, 2)))]
+        assert all(map(_is_exact, _rational_coefficients(*quotients)))
+        assert quotients[0].coeffs == (1, 1) and quotients[1].coeffs == (F(2, 3), 1)
+        assert type(X(2)) is F and X(2) == 2
+        assert type(Polynomial((2,))(3)) is F
+        two, two_q = RationalFunction.constant(2), RationalFunction.constant(F(2))
+        assert two == two_q and hash(two) == hash(two_q)
+        assert type(two.constant_value()) is F
+        assert {Place(Polynomial((F(-1), 1))): "one"}[Place.at(1)] == "one"
 
     def test_divmod(self):
         p = Polynomial((-1, 0, 1))  # x^2 - 1
@@ -78,6 +105,15 @@ class TestRationalFunction:
     def test_arithmetic_with_scalars(self):
         f = (X + 1) / (X - 1)
         assert (f - 1) * (X - 1) == rf((2,))
+
+    def test_constant_value_and_evaluation_over_q_of_a(self):
+        # coefficients in Q(a), the tower delta-factorization builds: values are Q(a) elements
+        assert RationalFunction(Polynomial((X,))).constant_value() == X
+        assert RationalFunction(Polynomial((X,)), Polynomial((X + 1,))).constant_value() == X / (X + 1)
+        g = RationalFunction(Polynomial((X, 1)), Polynomial((1, X)))  # (a + y) / (1 + a y)
+        assert g(X + 1) == (2 * X + 1) / (1 + X * (X + 1))
+        with pytest.raises(PoleError):
+            g(-1 / X)
 
 
 class TestCompose:
@@ -209,6 +245,7 @@ def test_compose_matches_the_field_horner_definition():
             continue
         got = compose(outer, inner)
         assert got == expected and got.den.leading == 1, (outer, inner)
+        assert all(map(_is_exact, _rational_coefficients(got))), got
     assert poles > 0
 
 
@@ -224,6 +261,7 @@ def test_divmod_and_gcd_on_random_inputs():
         assert (q, r) == (a // b, a % b)
         g = a.gcd(b)
         assert g.leading == 1
+        assert all(map(_is_exact, _rational_coefficients(q, r, g)))
         assert (a % g).is_zero and (b % g).is_zero
         c = _random_poly(rng, rng.randint(1, 2), coeff)
         assert (a * c).gcd(b * c) == (g * c).monic()

@@ -145,11 +145,17 @@ class TestValidate:
             HurwitzCover(3, quarter256=Permutation.identity(2))
 
     @pytest.mark.parametrize(
-        "degree, message", [(0, "degree must be positive, got 0")], ids=["degree"]
+        "degree, message",
+        [(0, "degree must be positive, got 0"), (2.5, "not an integer: 2.5")],
+        ids=["degree", "non-integer-degree"],
     )
     def test_every_structural_check_at_construction(self, degree, message):
-        with pytest.raises(HurwitzError, match=message):
+        with pytest.raises(HurwitzError, match=re.escape(message)):
             HurwitzCover(degree)
+
+    def test_whole_float_degree_is_read_as_an_int(self):
+        cover = HurwitzCover(2.0)
+        assert type(cover.degree) is int and cover.permutations == (Permutation.identity(2),) * 3
 
     def test_keyword_slots(self):
         t = perm(3, (1, 2))
