@@ -230,9 +230,6 @@ class Polynomial:
         lead = self.leading
         return Polynomial(tuple(_div(c, lead) for c in self.coeffs))
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
     # -- evaluation and substitution ----------------------------------------
 
     def __call__(self, x):

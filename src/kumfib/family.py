@@ -111,15 +111,6 @@ class DeckElement:
     base_map: RationalFunction
     label_perm: Permutation
 
-    @property
-    def word(self) -> str:
-        parts = []
-        if self.i:
-            parts.append("alpha" if self.i == 1 else f"alpha^{self.i}")
-        if self.j:
-            parts.append("beta")
-        return "*".join(parts) or "id"
-
     def __mul__(self, other: "DeckElement") -> "DeckElement":
         # beta alpha beta = alpha^{-1}, so beta^j alpha^k = alpha^{(-1)^j k} beta^j.
         i = (self.i + (other.i if self.j == 0 else -other.i)) % 4
@@ -132,20 +123,39 @@ class DeckElement:
         return deck_element(self.i, 1)
 
     def __repr__(self):
-        return f"DeckElement[{self.word}]"
+        parts = []
+        if self.i:
+            parts.append("alpha" if self.i == 1 else f"alpha^{self.i}")
+        if self.j:
+            parts.append("beta")
+        return f"DeckElement[{'*'.join(parts) or 'id'}]"
+
+
+def _deck_base_maps() -> dict[tuple[int, int], RationalFunction]:
+    maps = {}
+    for j, base in ((0, _NU), (1, BETA_BASE)):
+        maps[0, j] = base
+        for i in range(1, 4):
+            maps[i, j] = base = compose(ALPHA_BASE, base)
+    return maps
+
+
+#: The base map of alpha^i beta^j at (i, j), composed once at import.
+_DECK_BASE_MAPS = _deck_base_maps()
 
 
 def deck_element(i: int, j: int) -> DeckElement:
-    """The element alpha^i beta^j, i mod 4 and j mod 2."""
+    """The element alpha^i beta^j, i mod 4 and j mod 2.
+
+    The label permutation is composed from ALPHA_LABELS and BETA_LABELS at
+    each call; the base map is looked up.
+    """
     i %= 4
     j %= 2
-    base, perm = RationalFunction.of((0, 1)), Permutation.identity(6)
-    if j:
-        base, perm = BETA_BASE, BETA_LABELS
+    perm = BETA_LABELS if j else Permutation.identity(6)
     for _ in range(i):
-        base = compose(ALPHA_BASE, base)
         perm = ALPHA_LABELS * perm
-    return DeckElement(i=i, j=j, base_map=base, label_perm=perm)
+    return DeckElement(i=i, j=j, base_map=_DECK_BASE_MAPS[i, j], label_perm=perm)
 
 
 def all_deck_elements() -> list[DeckElement]:
@@ -255,12 +265,17 @@ def random_surface_point(rng) -> KummerPoint:
     N = c(c-d)(c(a-b)^2 - d(a+b)^2) * e(e-f)(e b^2 - f a^2), so it is a
     positive rational square exactly when m = N d f is a positive integer
     square; draws are tested in integers, and only the accepted one is
-    turned into Fractions.
+    turned into Fractions.  A trial is one draw below 8 * 4 * 19 * 5 * 19 * 5,
+    read by divmod as a in 2..9, b in 1..4, c in -9..9, d in 1..5,
+    e in -9..9 and f in 1..5, lowest place first.
     """
     for _ in range(5000):
-        a, b = rng.randint(2, 9), rng.randint(1, 4)
-        c, d = rng.randint(-9, 9), rng.randint(1, 5)
-        e, f = rng.randint(-9, 9), rng.randint(1, 5)
+        k, a = divmod(rng.randrange(8 * 4 * 19 * 5 * 19 * 5), 8)
+        k, b = divmod(k, 4)
+        k, c = divmod(k, 19)
+        k, d = divmod(k, 5)
+        f, e = divmod(k, 19)
+        a, b, c, d, e, f = a + 2, b + 1, c - 9, d + 1, e - 9, f + 1
         if a == b or c == 0 or e == 0:  # nu = 1, s = 0 or t = 0
             continue
         s_part = c * (c - d) * (c * (a - b) ** 2 - d * (a + b) ** 2)

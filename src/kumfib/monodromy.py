@@ -25,7 +25,10 @@ relabeling):
     and back along the way out reversed; r is half the distance to the
     nearest other puncture.  The way out is the real segment, except to
     lambda = 1/256, where it is the upper half of the circle with diameter
-    [base point, c - r] and so passes over lambda = 0;
+    [base point, c - r] and so passes over lambda = 0.  Only the way out
+    and the circle are tracked: continuing along the way back would undo
+    the way out, so the permutation is read at c - r, matching the roots
+    after the circle against the roots there before it;
   * the loop at infinity is the inverse of the finite-loop product (zero
     last), cross-checked by direct tracking along |lambda| = 8 clockwise
     (the same template with c = 0 and r = 8);
@@ -42,9 +45,9 @@ place the package imports mpmath), and Newton's method polishes them in
 double precision.  The loops are then tracked in Python complex arithmetic
 by a predictor-corrector that accepts a step only when no root moves more
 than a third of the previous minimum separation, refuses paths that bring
-two roots within a safety radius, and matches each end point to a unique
-nearest base root.  A loop is a pure function of its spec and the precision
-of the base-point solve.  `kumfib monodromy` prints the table at the
+two roots within a safety radius, and matches each root after the circle
+to a unique nearest root at the circle's edge.  A loop is a pure function
+of its spec and the precision of the base-point solve.  `kumfib monodromy` prints the table at the
 defaults; the precision and the initial step count stay parameters of the
 functions, which verify-paper's step-stability check and the tests vary.
 """
@@ -232,13 +235,13 @@ def _arc(center, radius, th0, th1):
 
 
 def _loop_pieces(spec: LoopSpec):
-    """The loop as three pieces: out from BASE_POINT to c - r, the circle, back.
+    """The tracked pieces of a loop: out from BASE_POINT to c - r, and the circle.
 
     c is the puncture (0 for the loop at infinity) and r the resolved
     radius.  Out is the real segment while c - r lies left of 0, and
     otherwise the upper half of the circle with diameter [BASE_POINT, c - r],
     which passes over lambda = 0 and comes nearest a puncture, at distance r,
-    only at its end.  Back is out reversed.
+    only at its end.  The way back, out reversed, is never tracked.
     """
     if spec.center != INFINITY and spec.center not in PUNCTURES:
         raise MonodromyError(
@@ -255,7 +258,7 @@ def _loop_pieces(spec: LoopSpec):
         out = _arc((base + left) / 2, (left - base) / 2, math.pi, 0)
     # Around infinity the circle runs clockwise: counterclockwise seen from infinity.
     end = -math.pi if spec.center == INFINITY else 3 * math.pi
-    return [out, _arc(c, r, math.pi, end), lambda t: out(1 - t)]
+    return out, _arc(c, r, math.pi, end)
 
 
 # -- the tracker ----------------------------------------------------------------
@@ -268,11 +271,11 @@ def _min_pairwise(roots):
 def _track_pieces(pieces, roots, initial_steps, safety_radius):
     """Continue the root list along the concatenated path pieces.
 
-    A loop from _loop_pieces is three pieces: out, the circle and back.
     Every piece starts at max(initial_steps, 2) subdivisions (the maximum
-    step size; one step around a full circle would end where it started);
-    steps shrink adaptively wherever the movement bound demands it and grow
-    back, never beyond the maximum.
+    step size; one step around a full circle would end where it started).
+    A rejected step is halved; after an accepted step of size h the next
+    attempt is min(2 h, maximum), so steps shrink wherever the movement
+    bound demands it and grow back from there.
     """
     roots = list(roots)
     for path in pieces:
@@ -319,7 +322,7 @@ def _track_pieces(pieces, roots, initial_steps, safety_radius):
                     roots = candidate
                     t, lam, a, b = t2, lam2, a2, b2
                     prev_min = new_min
-                    dt = min(dt * 2, max_dt)
+                    dt = min(step * 2, max_dt)
                     accepted += 1
                     break
                 step = step / 2
@@ -350,8 +353,11 @@ def track_loop(spec: LoopSpec, precision_bits: int = BASE_PRECISION_BITS) -> Per
     """The permutation of the six labels induced by one loop.
 
     sigma(i) = j means the root labeled i lands on the base root labeled j.
-    The loop is tracked in double precision from the base configuration
-    solved at precision_bits.  Deterministic for a fixed spec and precision.
+    The base roots, solved at precision_bits, are tracked in double
+    precision out to the circle's edge c - r and from there once around the
+    circle.  The roots after the circle are matched against those at the
+    edge: the way back, out reversed, carries each edge root to the base
+    root with its label.  Deterministic for a fixed spec and precision.
     """
     base_roots = base_configuration(precision_bits)
     # Legitimate loops here never push the six roots closer than a few
@@ -359,9 +365,10 @@ def track_loop(spec: LoopSpec, precision_bits: int = BASE_PRECISION_BITS) -> Per
     # pair headed for a degeneracy (radius too large, or a path through
     # a puncture).
     safety = 1e-4 * max(abs(x) for x in base_roots)
-    pieces = _loop_pieces(spec)
-    final = _track_pieces(pieces, base_roots, spec.initial_steps, safety)
-    return _match(final, base_roots)
+    out, circle = _loop_pieces(spec)
+    edge = _track_pieces([out], base_roots, spec.initial_steps, safety)
+    final = _track_pieces([circle], edge, spec.initial_steps, safety)
+    return _match(final, edge)
 
 
 @dataclass(frozen=True)

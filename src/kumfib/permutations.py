@@ -175,29 +175,6 @@ def compose_all(perms, degree: int) -> Permutation:
     return Permutation(images)
 
 
-def orbits(degree: int, generators) -> list[tuple[int, ...]]:
-    """Orbits of <generators> on {1..degree}, each sorted, ordered by minimum."""
-    gens = list(generators)
-    seen = [False] * degree
-    out = []
-    for start in range(1, degree + 1):
-        if seen[start - 1]:
-            continue
-        frontier = [start]
-        seen[start - 1] = True
-        orbit = [start]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = g(x)
-                if not seen[y - 1]:
-                    seen[y - 1] = True
-                    orbit.append(y)
-                    frontier.append(y)
-        out.append(tuple(sorted(orbit)))
-    return out
-
-
 def orbit_labels(size: int, image_lists) -> tuple[list[int], list[int]]:
     """The orbits of the maps p -> w[p] on 0..size-1, one image list w per map.
 

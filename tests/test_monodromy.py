@@ -13,7 +13,7 @@ import pytest
 
 from kumfib import cli, family, monodromy, verification
 from kumfib.monodromy import LoopSpec, base_configuration, deck_parity, track_loop
-from kumfib.permutations import Permutation, group_closure, orbits
+from kumfib.permutations import Permutation, group_closure, orbit_labels
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +23,16 @@ def tables():
 
 def _mp(q):
     return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _safety(roots):
+    return 1e-4 * max(abs(x) for x in roots)
+
+
+def _whole_loop_pieces(spec):
+    """The tracked pieces of the loop and the way back, out reversed."""
+    out, circle = monodromy._loop_pieces(spec)
+    return [out, circle, lambda t: out(1 - t)]
 
 
 class TestBaseConfiguration:
@@ -162,18 +172,19 @@ class TestLoops:
         t = tables[256]
         group = group_closure([t.around_zero, t.around_quarter256])
         assert len(group) == 8  # dihedral, matching the deck group
-        parts = orbits(6, [t.around_zero, t.around_quarter256])
-        assert sorted(len(o) for o in parts) == [2, 4]  # not transitive
+        sizes = orbit_labels(6, [t.around_zero.images, t.around_quarter256.images])[1]
+        assert sorted(sizes) == [2, 4]  # not transitive
 
 
 class TestLoopTemplate:
-    """Every loop is out to the circle's leftmost point, the circle, and out reversed."""
+    """Every loop is out to the circle's leftmost point, the circle, and out
+    reversed; only the first two pieces are tracked."""
 
     @pytest.mark.parametrize("center", [F(0), F(1, 256), monodromy.INFINITY])
     def test_out_around_and_back(self, center):
         spec = LoopSpec(center=center)
-        pieces = monodromy._loop_pieces(spec)
-        assert len(pieces) == 3
+        assert len(monodromy._loop_pieces(spec)) == 2
+        pieces = _whole_loop_pieces(spec)
         out, circle, back = pieces
         base = float(monodromy.BASE_POINT)
         assert out(0) == pytest.approx(base, abs=1e-12) and back(1) == pytest.approx(base, abs=1e-12)
@@ -190,6 +201,48 @@ class TestLoopTemplate:
             # the way out and back comes no nearer a puncture than the circle
             for p in monodromy.PUNCTURES:
                 assert min(abs(piece(t) - float(p)) for piece in (out, back) for t in ts) > r * (1 - 1e-12)
+
+
+class TestEdgeRead:
+    """track_loop reads the permutation at the circle's edge; tracking the
+    whole loop back to the base point and matching there gives the same."""
+
+    @pytest.mark.parametrize("bits", [16, 128])
+    @pytest.mark.parametrize("steps", [8, 64, 256])
+    @pytest.mark.parametrize("center", [F(0), F(1, 256), monodromy.INFINITY])
+    def test_edge_read_equals_the_whole_loop(self, center, steps, bits):
+        spec = LoopSpec(center=center, initial_steps=steps)
+        roots = base_configuration(bits)
+        final = monodromy._track_pieces(_whole_loop_pieces(spec), roots, steps, _safety(roots))
+        assert track_loop(spec, bits) == monodromy._match(final, roots)
+
+
+class TestStepController:
+    def test_next_attempt_grows_from_the_last_step(self):
+        # after an accepted step of size h the next attempt is at most
+        # min(2 h, max_dt), not max_dt again
+        steps = 64
+        max_dt = 1 / steps
+        roots = base_configuration(128)
+        out, _ = monodromy._loop_pieces(LoopSpec(center=F(0), initial_steps=steps))
+        requested = []
+
+        def recording(t):
+            requested.append(t)
+            return out(t)
+
+        monodromy._track_pieces([recording], roots, steps, _safety(roots))
+        # the first call is the start t = 0; an attempt was accepted exactly
+        # when the next attempt lies beyond it (the last one ends at 1)
+        attempts = requested[1:]
+        assert requested[0] == 0 and attempts[-1] == 1
+        prev, short = 0.0, 0
+        for t, nxt in zip(attempts, attempts[1:]):
+            if nxt > t:
+                h = t - prev
+                assert nxt - t <= min(2 * h, max_dt) + 1e-12, (prev, t, nxt)
+                prev, short = t, short + (h < max_dt / 2)
+        assert short  # the bound bites: some accepted steps are short
 
 
 def _oracle_roots(lam):
@@ -226,8 +279,8 @@ class TestHighPrecisionOracle:
     def test_tracked_roots_along_each_loop(self, center):
         # the roots at the middle and the end of every piece of the loop
         roots = base_configuration(128)
-        safety = 1e-4 * max(abs(x) for x in roots)
-        pieces = monodromy._loop_pieces(LoopSpec(center=center, initial_steps=64))
+        safety = _safety(roots)
+        pieces = _whole_loop_pieces(LoopSpec(center=center, initial_steps=64))
         for k, piece in enumerate(pieces):
             for frac in (0.5, 1.0):
                 prefix = pieces[:k] + [lambda t, piece=piece, frac=frac: piece(frac * t)]
