@@ -23,6 +23,21 @@ RationalFunction itself satisfies the field protocol, towers such as
 Q(nu)[s] or Q(nu)(s)(t) come for free by nesting; a nested field's
 elements keep their own division.
 
+The public RationalFunction(num, den) reduces by a Euclidean gcd.  The field
+operations take only the gcds whose answer is not known in advance (Henrici's
+rules for reduced fractions, Knuth TAOCP vol. 2 section 4.5.1), for operands
+a/b and c/d that are coprime pairs:
+
+  -f, f ** k       a power or negation of a coprime pair is coprime: no gcd.
+  compose          the homogenised forms N, D of a coprime pair at a coprime
+                   pair have no common root: no gcd.
+  f * g, f / g     only a and d, c and b can share a factor (a and c, d and
+                   b for f / g): the two cross gcds.
+  f + g, f - g     with g = gcd(b, d) the sum (a d/g + c b/g) / (b d/g) can
+                   share a factor only with g: no further gcd when g is 1.
+  gcd              a nonzero constant operand divides everything: the answer
+                   is the field's one, with no long division.
+
 Factorization into irreducibles delegates the factor-finding step to sympy
 (exact Zassenhaus-style factorization over Q, sympy imported only then);
 everything else, rational_sqrt included, is standard library.
@@ -216,7 +231,15 @@ class Polynomial:
         return divmod(self, other)[0]
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic greatest common divisor."""
+        """Monic greatest common divisor.
+
+        A nonzero constant operand divides everything, so the answer is that
+        constant made monic, the field's one, with no long division.
+        """
+        if self.degree == 0:
+            return self.monic()
+        if other.degree == 0:
+            return other.monic()
         a, b = self, other
         while not b.is_zero:
             a, b = b, a % b
@@ -268,20 +291,30 @@ class RationalFunction:
             den = Polynomial((den,))
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
+        if not num.is_zero:
+            g = num.gcd(den)
+            if g.degree > 0:
+                num = num // g
+                den = den // g
+        self._store(num, den)
+
+    def _store(self, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """Set num/den, known coprime with den nonzero, making den monic."""
         if num.is_zero:
-            object.__setattr__(self, "num", Polynomial.zero())
-            object.__setattr__(self, "den", Polynomial.one())
-            return
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
-        lead = den.leading
-        if lead != 1:
-            num = num * Polynomial((_div(1, lead),))
-            den = den.monic()
+            den = Polynomial.one()
+        else:
+            lead = den.leading
+            if lead != 1:
+                num = num * Polynomial((_div(1, lead),))
+                den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        return self
+
+    @classmethod
+    def _coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """num/den without a gcd, for a pair coprime by proof (den nonzero)."""
+        return object.__new__(cls)._store(num, den)
 
     # -- constructors ------------------------------------------------------
 
@@ -330,7 +363,7 @@ class RationalFunction:
             return RationalFunction(other)
         if isinstance(other, (int, Fraction)):
             one = self._field_one()
-            return RationalFunction(Polynomial((one * other,)), Polynomial((one,)))
+            return RationalFunction._coprime(Polynomial((one * other,)), Polynomial((one,)))
         return NotImplemented
 
     def __eq__(self, other):
@@ -350,14 +383,21 @@ class RationalFunction:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = b.gcd(d)
+        if g.degree == 0:
+            return RationalFunction._coprime(a * d + c * b, b * d)
+        b_g = b // g
+        t = a * (d // g) + c * b_g
+        g = t.gcd(g)
+        if g.degree > 0:
+            t, d = t // g, d // g
+        return RationalFunction._coprime(t, b_g * d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._coprime(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -368,11 +408,22 @@ class RationalFunction:
     def __rsub__(self, other):
         return (-self) + other
 
+    @staticmethod
+    def _cross(a: Polynomial, b: Polynomial, c: Polynomial, d: Polynomial) -> "RationalFunction":
+        """(a c)/(b d) for coprime pairs a, b and c, d: only a, d and c, b can share factors."""
+        g = a.gcd(d)
+        if g.degree > 0:
+            a, d = a // g, d // g
+        g = c.gcd(b)
+        if g.degree > 0:
+            c, b = c // g, b // g
+        return RationalFunction._coprime(a * c, b * d)
+
     def __mul__(self, other):
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return self._cross(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -382,7 +433,7 @@ class RationalFunction:
             return NotImplemented
         if other.num.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return self._cross(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         lifted = self._lift(other)
@@ -391,9 +442,12 @@ class RationalFunction:
         return lifted / self
 
     def __pow__(self, n: int):
+        num, den = self.num, self.den
         if n < 0:
-            return (RationalFunction(self.den, self.num)) ** (-n)
-        return RationalFunction(self.num**n, self.den**n)
+            if num.is_zero:
+                raise ZeroDivisionError("negative power of the zero rational function")
+            num, den, n = den, num, -n
+        return RationalFunction._coprime(num**n, den**n)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -411,14 +465,16 @@ class RationalFunction:
 
 
 def compose(outer: RationalFunction, inner: RationalFunction) -> RationalFunction:
-    """Exact composition outer(inner(x)), reduced to coprime form.
+    """Exact composition outer(inner(x)), in coprime form without a gcd.
 
     With outer = (sum n_i y^i) / (sum d_i y^i), inner = p/q and d the larger
     of the two degrees of outer, outer(inner) = N/D for the homogenised forms
     N = sum n_i p^i q^(d-i) and D = sum d_i p^i q^(d-i), built as Polynomials
-    from the powers of p and q.  One reduction RationalFunction(N, D) then
-    suffices, where Horner in the field would reduce at every step; N and D
-    are in fact already coprime, as both pairs num/den and p/q are.
+    from the powers of p and q, where Horner in the field would reduce at
+    every step.  N and D are already coprime, so no gcd is taken: a common
+    root x0 would give a common root [p(x0) : q(x0)] of the homogenised
+    num and den of outer, which have none, since p, q have no common root
+    and num, den have none on the affine line and not both degree < d.
 
     Composition with a constant inner map yields a constant; an inner map
     whose image lies in the pole locus of outer raises PoleError.
@@ -440,7 +496,7 @@ def compose(outer: RationalFunction, inner: RationalFunction) -> RationalFunctio
     den = form(outer.den)
     if den.is_zero:
         raise PoleError("inner map lands identically in the pole locus of outer")
-    return RationalFunction(form(outer.num), den)
+    return RationalFunction._coprime(form(outer.num), den)
 
 
 @dataclass(frozen=True)

@@ -137,19 +137,18 @@ class BranchData:
 
     def __post_init__(self):
         n, r = exact_ints((self.n, self.r), HurwitzError)
-        parts = [
-            (name, tuple(sorted(exact_ints(getattr(self, name), HurwitzError), reverse=True)))
-            for name in "xyz"
-        ]
-        for name, value in (("n", n), ("r", r), *parts):
-            object.__setattr__(self, name, value)
-        for name, part in parts:
+        # every partition is converted before any is validated
+        parts = [tuple(sorted(exact_ints(p, HurwitzError), reverse=True)) for p in (self.x, self.y, self.z)]
+        for name, part in zip("xyz", parts):
             if part and part[-1] < 1:  # the least part is last
                 raise HurwitzError(f"partition {name} has nonpositive parts: {part}")
-            if sum(part) != self.n:
-                raise HurwitzError(f"partition {name}={part} does not sum to n={self.n}")
-        if self.r < 0:
-            raise HurwitzError(f"negative extra ramification r={self.r}")
+            if sum(part) != n:
+                raise HurwitzError(f"partition {name}={part} does not sum to n={n}")
+            object.__setattr__(self, name, part)
+        if r < 0:
+            raise HurwitzError(f"negative extra ramification r={r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
 
     @property
     def k(self) -> int:

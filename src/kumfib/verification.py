@@ -17,8 +17,9 @@ Two checks also compare against an independent symbolic oracle in sympy's
 sparse polynomial rings, whose elements are kept in canonical form, so an
 identity holds exactly when a polynomial compares equal to 0: the
 discriminant factorization is expanded in Q[a, b], and each Kummer
-involution's residual is one unreduced fraction over Q[nu, s, t, u], whose
-numerator is tested.
+involution's residual is one unreduced fraction over Z[nu, s, t, u], with
+rational constants carried as numerator/denominator pairs, whose numerator
+is tested.
 """
 
 from __future__ import annotations
@@ -241,11 +242,13 @@ _INVOLUTIONS = ("beta", "iota", "iota_prime")
 
 
 class _Quotient:
-    """num/den over a polynomial ring, never reduced: field arithmetic without its gcds.
+    """num/den over Z[nu, s, t, u], never reduced: field arithmetic without its gcds.
 
     a/b + c/d = (ad + cb)/bd, a/b * c/d = ac/bd and a/b / c/d = ad/bc, with
-    int operands as c/1.  A denominator is a product of nonzero polynomials,
-    so a quotient is 0 exactly when its numerator is; `==` compares ad with cb.
+    an int operand as c/1 and a Fraction as its numerator over its
+    denominator, so a rational constant never enters the integer ring.  A
+    denominator is a product of nonzero polynomials and nonzero integers, so
+    a quotient is 0 exactly when its numerator is; `==` compares ad with cb.
     """
 
     __slots__ = ("num", "den")
@@ -255,7 +258,11 @@ class _Quotient:
 
     @staticmethod
     def _pair(other):
-        return (other.num, other.den) if isinstance(other, _Quotient) else (other, 1)
+        if isinstance(other, _Quotient):
+            return other.num, other.den
+        if isinstance(other, Fraction):
+            return other.numerator, other.denominator
+        return other, 1
 
     def __add__(self, other):
         c, d = self._pair(other)
@@ -288,7 +295,8 @@ class _Quotient:
     def __rtruediv__(self, other):
         if not self.num:
             raise ZeroDivisionError("division by the zero polynomial")
-        return _Quotient(other * self.den, self.num)
+        c, d = self._pair(other)
+        return _Quotient(c * self.den, d * self.num)
 
     def __pow__(self, k: int):
         return _Quotient(self.num**k, self.den**k)
@@ -302,15 +310,17 @@ def _involution_residual(which: str):
     """The numerator of F(image) - (u'/u)^2 F for family.apply_involution on a symbolic point.
 
     The point's coordinates are the generators of sympy's sparse ring
-    Q[nu, s, t, u], each over 1, and the maps and F run on `_Quotient`s, which
-    never reduce.  Every denominator is a product of nonzero polynomials, so
-    the coordinate map preserves the hypersurface exactly when the returned
+    Z[nu, s, t, u], each over 1, and the maps and F run on `_Quotient`s, which
+    never reduce and carry a rational constant as a numerator/denominator
+    pair of integers, so no coefficient operation takes a gcd.  Every
+    denominator is a product of nonzero polynomials and integers, so the
+    coordinate map preserves the hypersurface exactly when the returned
     numerator is 0.
     """
-    from sympy import QQ
+    from sympy import ZZ
     from sympy.polys.rings import ring
 
-    R, *gens = ring("nu, s, t, u", QQ)
+    R, *gens = ring("nu, s, t, u", ZZ)
     nu, s, t, u = (_Quotient(g, R.one) for g in gens)
     image = family.apply_involution(which, family.KummerPoint(nu, s, t, u))
     F = family.kummer_rhs

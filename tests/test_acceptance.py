@@ -11,6 +11,7 @@ values it compares disagree.
 
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -136,6 +137,21 @@ IOTA_PRIME_SCALES_T = _wrong_involution(
     "iota_prime", lambda p: family.KummerPoint(_ratio(p), _ratio(p) ** 2 * p.t, p.s, _ratio(p) ** 3 * p.u)
 )
 
+#: beta with u halved: a map with a rational constant, whose residual is nonzero
+BETA_HALVES_U = _wrong_involution(
+    "beta", lambda p: family.KummerPoint(-p.nu, _ratio(p) ** 2 * p.s, p.t, Fraction(1, 2) * _ratio(p) ** 3 * p.u)
+)
+#: the shipped beta written with rational constants that cancel: still correct
+BETA_WITH_RATIONAL_CONSTANTS = _wrong_involution(
+    "beta",
+    lambda p: family.KummerPoint(
+        -p.nu,
+        Fraction(2, 3) * (Fraction(3, 2) * _ratio(p) ** 2 * p.s),
+        p.t,
+        Fraction(1, 2) / (Fraction(1, 2) / (_ratio(p) ** 3 * p.u)),
+    ),
+)
+
 
 #: At least one injected fault per check key.
 FAULTS = [
@@ -168,6 +184,7 @@ FAULTS = [
     ("kummer-involutions", "beta-scales-s-by-r-cubed", BETA_SCALES_S_BY_R_CUBED),
     ("kummer-involutions", "iota-without-swap", IOTA_WITHOUT_SWAP),
     ("kummer-involutions", "iota-prime-scales-t", IOTA_PRIME_SCALES_T),
+    ("kummer-involutions", "beta-halves-u", BETA_HALVES_U),
     ("fixed-curve-data", "genus-shifted", _fault(hurwitz, "genus", lambda real: lambda c: real(c) + 1)),
     ("quintic-example", "c-by-y-wrong", lambda monkeypatch: monkeypatch.setitem(hodge.C_BY_Y, 4, 1)),
     ("regular-cover-example", "c-by-y-wrong", lambda monkeypatch: monkeypatch.setitem(hodge.C_BY_Y, 4, 1)),
@@ -227,6 +244,15 @@ def test_symbolic_residuals_run_the_shipped_maps(monkeypatch):
         }, wrong
 
 
+def test_rational_constants_are_accepted(monkeypatch):
+    # the integer ring carries a Fraction as numerator over denominator, so a
+    # correct map written with rational constants passes
+    BETA_WITH_RATIONAL_CONSTANTS(monkeypatch)
+    result = verification.run_one("kummer-involutions")
+    assert result.passed, result.actual
+    assert verification._involution_residual("beta") == 0
+
+
 def reference_involution_residual(which):
     """The former definition: the residual in sympy's field Q(nu, s, t, u), a reduction per operation."""
     from sympy import QQ
@@ -240,8 +266,22 @@ def reference_involution_residual(which):
 
 @pytest.mark.parametrize(
     "fault",
-    [lambda monkeypatch: None, BETA_SCALES_S_BY_R_CUBED, IOTA_WITHOUT_SWAP, IOTA_PRIME_SCALES_T],
-    ids=["shipped", "beta-scales-s-by-r-cubed", "iota-without-swap", "iota-prime-scales-t"],
+    [
+        lambda monkeypatch: None,
+        BETA_SCALES_S_BY_R_CUBED,
+        IOTA_WITHOUT_SWAP,
+        IOTA_PRIME_SCALES_T,
+        BETA_HALVES_U,
+        BETA_WITH_RATIONAL_CONSTANTS,
+    ],
+    ids=[
+        "shipped",
+        "beta-scales-s-by-r-cubed",
+        "iota-without-swap",
+        "iota-prime-scales-t",
+        "beta-halves-u",
+        "beta-with-rational-constants",
+    ],
 )
 def test_residual_numerator_vanishes_with_the_field_residual(monkeypatch, fault):
     fault(monkeypatch)

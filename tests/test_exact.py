@@ -267,6 +267,129 @@ def test_divmod_and_gcd_on_random_inputs():
         assert (a * c).gcd(b * c) == (g * c).monic()
 
 
+def _unreduced_results(f, g, k):
+    """Each operation as RationalFunction(unreduced num, unreduced den), the reduction left to the constructor."""
+    a, b, c, d = f.num, f.den, g.num, g.den
+
+    def homogenised(outer_part, deg):
+        return sum(
+            (Polynomial((co,)) * c**i * d ** (deg - i) for i, co in enumerate(outer_part.coeffs) if co),
+            Polynomial.zero(),
+        )
+
+    def composite():
+        deg = max(a.degree, b.degree)
+        den = homogenised(b, deg)
+        if den.is_zero:
+            raise PoleError("inner map lands identically in the pole locus of outer")
+        return RationalFunction(homogenised(a, deg), den)
+
+    return {
+        "f + g": lambda: RationalFunction(a * d + c * b, b * d),
+        "f - g": lambda: RationalFunction(a * d - c * b, b * d),
+        "f * g": lambda: RationalFunction(a * c, b * d),
+        "f / g": lambda: RationalFunction(a * d, b * c),
+        "-f": lambda: RationalFunction(-a, b),
+        "f ** k": lambda: RationalFunction(a**k, b**k) if k >= 0 else RationalFunction(b**-k, a**-k),
+        "compose(f, g)": composite,
+    }
+
+
+def _operations(f, g, k):
+    return {
+        "f + g": lambda: f + g,
+        "f - g": lambda: f - g,
+        "f * g": lambda: f * g,
+        "f / g": lambda: f / g,
+        "-f": lambda: -f,
+        "f ** k": lambda: f**k,
+        "compose(f, g)": lambda: compose(f, g),
+    }
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except (ZeroDivisionError, PoleError) as error:
+        return type(error)
+
+
+def _operand_pairs(rng, coeff, deg, rounds):
+    """Pairs (f, g) that reach every branch: shared denominator factors, sums and
+    products that cancel, zero and constant operands, and constants on a pole."""
+    zero = RationalFunction(Polynomial.zero())
+
+    def poly(lo=0):
+        return _random_poly(rng, rng.randint(lo, deg), coeff)
+
+    def func():
+        return RationalFunction(poly(), poly())
+
+    for _ in range(rounds):
+        yield func(), func()
+        h = poly(1)  # a common factor of both denominators, and of a numerator
+        yield RationalFunction(poly() * h, poly() * h * h), RationalFunction(poly(), poly() * h)
+        yield RationalFunction(poly(), poly() * h), RationalFunction(poly() * h, poly())
+        f, s = func(), func()
+        yield f, s - f  # the sum is s: the numerator t shares factors with gcd(b, d)
+        yield f, s / f if f else s  # the product is s: each cross pair cancels
+        yield zero, func()
+        yield func(), zero
+        c = RationalFunction(Polynomial((coeff(),)))
+        yield func(), c  # a constant inner map
+        yield c, func()
+        yield RationalFunction(poly(), poly() * (X.num - c.num)), c  # the constant is a pole
+    yield zero, zero
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(a)"])
+def test_gcd_free_paths_match_the_reducing_constructor(field):
+    rng = random.Random(20261020)
+    if field == "Q":
+        coeff, deg, rounds = (lambda: F(rng.randint(-5, 5), rng.randint(1, 3))), 3, 4
+    else:  # the nested tower Q(a)[b] of delta-factorization, where a full reduction is slow
+        coeff, deg, rounds = (lambda: _q_of_a(rng)), 1, 1
+    raised = set()
+    for f, g in _operand_pairs(rng, coeff, deg, rounds):
+        ks = range(-3, 4) if field == "Q" else (-2, 0, 3)
+        for k in ks:
+            expected, got = _unreduced_results(f, g, k), _operations(f, g, k)
+            for name in expected:
+                want, have = _outcome(expected[name]), _outcome(got[name])
+                if isinstance(want, type):
+                    raised.add((name, want))
+                    assert have is want, (name, f, g, k)
+                    continue
+                assert have == want and have.den.leading == 1, (name, f, g, k)
+                if field == "Q":
+                    assert all(map(_is_exact, _rational_coefficients(have))), (name, have)
+    # the pairs reach the division by zero, the zero to a negative power and a pole
+    assert {("f / g", ZeroDivisionError), ("f ** k", ZeroDivisionError), ("compose(f, g)", PoleError)} <= raised
+
+
+def test_proven_coprime_results_take_no_gcd(monkeypatch):
+    f, g = (X**2 - 2) / (3 * X + 1), (X - 1) / (X**2 + X + 1)
+    calls = []
+    gcd = Polynomial.gcd
+    monkeypatch.setattr(Polynomial, "gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
+    results = [compose(f, g), -f, f**3, f**-2, f**0]
+    assert calls == []
+    assert results == [reference_compose(f, g), 0 - f, f * f * f, 1 / (f * f), 1]
+
+
+def test_gcd_with_a_constant_operand_is_the_fields_one(monkeypatch):
+    rng = random.Random(3)
+    # over Q(a) the field's one is the constant function 1
+    constant, other = Polynomial((X + 2,)), _random_poly(rng, 2, lambda: _q_of_a(rng))
+    for g in (constant.gcd(other), other.gcd(constant)):
+        assert g.coeffs == (RationalFunction.constant(1),) and type(g.coeffs[0]) is RationalFunction
+    # over Q it is the int 1, found with no long division
+    monkeypatch.setattr(Polynomial, "__divmod__", lambda *a: pytest.fail("long division"))
+    for constant, other in [(Polynomial((F(-3, 4),)), Polynomial((1, 2, 3))), (Polynomial((5,)), Polynomial(()))]:
+        for g in (constant.gcd(other), other.gcd(constant)):
+            assert g.coeffs == (1,) and type(g.coeffs[0]) is int
+
+
 class TestPlacesAndOrders:
     def test_order_examples(self):
         nu = X
