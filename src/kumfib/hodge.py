@@ -30,7 +30,7 @@ extended to it; requesting them reports "unsupported" instead of a guess.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .hurwitz import (
     C2_COMPONENTS,
@@ -240,31 +240,36 @@ class CYReport:
     ambiguous: bool = False
     search_truncated: bool = False
 
-    @classmethod
-    def for_branch(cls, b: BranchData, **fields) -> "CYReport":
-        """The report fields the branch data alone determines, plus fields."""
-        return cls(b, cy_condition(b), smoothness(b), fiber_inventory(b), **fields)
-
 
 _NOT_CY = "canonical sheaf is not trivial for this data"
 
 
-def _report_for_tuple(b: BranchData, genera: tuple[int, ...]) -> CYReport:
-    s, p_g = len(genera), sum(genera)
-    base = CYReport.for_branch(b, s=s, p_g=p_g, genera=genera)
-    if not base.cy:
-        return replace(base, unsupported=_NOT_CY)
-    try:
-        h11_value = h11(b, s)
-        h21_value = h21(b, p_g)
-    except UnsupportedError as exc:
-        return replace(base, unsupported=str(exc))
-    return replace(
-        base,
-        c=tuple(C_BY_Y[y] for y in b.y),
-        h11=h11_value,
-        h21=h21_value,
-        euler=2 * (h11_value - h21_value),
+def _report(
+    b: BranchData, genera=None, unsupported=None, ambiguous=False, search_truncated=False
+) -> CYReport:
+    """The one constructor of CYReport, so that each report is built once.
+
+    It holds the fields the branch data determines.  Given the genera of the
+    pulled-back fixed curve, it adds s, p_g and the Hodge numbers, or the
+    reason the Hodge formulas do not apply.
+    """
+    cy = cy_condition(b)
+    curve = {}
+    if genera is not None:
+        s, p_g = len(genera), sum(genera)
+        curve = {"s": s, "p_g": p_g, "genera": genera}
+        try:
+            if not cy:
+                raise UnsupportedError(_NOT_CY)
+            h11_value, h21_value = h11(b, s), h21(b, p_g)
+        except UnsupportedError as exc:
+            unsupported = str(exc)
+        else:
+            euler = 2 * (h11_value - h21_value)
+            curve.update(c=tuple(C_BY_Y[y] for y in b.y), h11=h11_value, h21=h21_value, euler=euler)
+    return CYReport(
+        b, cy, smoothness(b), fiber_inventory(b), **curve,
+        unsupported=unsupported, ambiguous=ambiguous, search_truncated=search_truncated,
     )
 
 
@@ -277,7 +282,7 @@ def analyze_cover(g: HurwitzCover) -> CYReport:
     problems = validate(g)
     if problems:
         raise InvalidCoverError("; ".join(problems))
-    return _report_for_tuple(branch_data_of(g), fixed_curve(g))
+    return _report(branch_data_of(g), fixed_curve(g))
 
 
 def analyze_branch_data(
@@ -300,23 +305,22 @@ def analyze_branch_data(
     data, a single report with the inventory (and no curve data) is returned.
     """
     if b.admits_rational_cover() and not cy_condition(b):
-        return [CYReport.for_branch(b, unsupported=_NOT_CY)]
+        return [_report(b, unsupported=_NOT_CY)]
     result: SearchResult = search_tuples(b, limit=limit, max_candidates=max_candidates)
     least_genera: dict[tuple[int, int], tuple[int, ...]] = {}
     for cover in result.covers:
         genera = fixed_curve(cover)
         key = (len(genera), sum(genera))
         least_genera[key] = min(genera, least_genera.get(key, genera))
-    reports = [_report_for_tuple(b, least_genera[key]) for key in sorted(least_genera)]
-    if not reports:
+    if not least_genera:
         note = (
             "no transitive monodromy tuple realizes this branch data"
             if not result.truncated
             else "tuple search truncated before finding a realization"
         )
-        return [CYReport.for_branch(b, unsupported=note, search_truncated=result.truncated)]
-    ambiguous = len(reports) > 1
+        return [_report(b, unsupported=note, search_truncated=result.truncated)]
+    ambiguous = len(least_genera) > 1
     return [
-        replace(r, ambiguous=ambiguous, search_truncated=result.truncated)
-        for r in reports
+        _report(b, least_genera[key], ambiguous=ambiguous, search_truncated=result.truncated)
+        for key in sorted(least_genera)
     ]

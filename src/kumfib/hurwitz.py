@@ -413,7 +413,8 @@ def search_tuples(
     from cycle placements (`_permutations_of_type`), not filtered out of all
     n! permutations.  A hit is a candidate whose sigma_0 has cycle type x.
     Transitivity is tested on sigma_c, sigma_inf and the extras, which
-    generate sigma_0, and sigma_0 is built only for transitive hits.
+    generate sigma_0, and sigma_0 is built only for transitive hits, as the
+    inverse of sigma_inf sigma_c t_r ... t_1.
 
     No candidate is tested one by one: for each prefix of r - 1 extras (the
     empty prefix when r = 0) and each class element the cycles of one
@@ -432,7 +433,10 @@ def search_tuples(
     tuples, even if none is left to find, or when a candidate past
     `max_candidates` would be examined, i.e. exactly when the
     P^r |class| candidates (P transpositions) exceed `max_candidates`.
+    A `limit` below 1 is refused with HurwitzError.
     """
+    if limit < 1:
+        raise HurwitzError(f"search limit must be at least 1, got {limit}")
     if not b.admits_rational_cover():
         return SearchResult(covers=(), truncated=False)
     if b.n > MAX_SEARCH_DEGREE:
@@ -445,25 +449,19 @@ def search_tuples(
     z_class = _permutations_of_type(n, b.z)
     pairs, pair_number = _pairs(n)
     transpositions = [Permutation(_after(pair, range(n))) for pair in pairs]
-    sigma_inf_inv = sigma_inf.inverse()
 
-    hits = _hits(sigma_inf, z_class, b.x, b.r, max_candidates)
-    # sigma_0 = lead sigma_c^-1 sigma_inf^-1 with lead = t_1 ... t_r, and
-    # v = lead^-1 sigma_inf = t_r ... t_1 sigma_inf, so sigma_0 = sigma_inf q^-1 sigma_inf^-1
-    # with q = sigma_c v.
     found: list[HurwitzCover] = []
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     centralizer: tuple[tuple[int, ...], ...] = ()  # made at the first kept tuple
-    for index, sigma_c, v in hits:
+    for index, sigma_c in _hits(sigma_inf, z_class, b.x, b.r, pairs, pair_number, max_candidates):
         if (index, sigma_c.images) in seen:
             continue
         extras = tuple(transpositions[k] for k in index)
         # sigma_0 is a product of the others' inverses: same orbits without it
         if not is_transitive(n, (sigma_c, sigma_inf, *extras)):
             continue
-        q = Permutation(sigma_c.images[p] for p in v)
-        sigma_0 = sigma_inf * q.inverse() * sigma_inf_inv
-        centralizer = centralizer or _centralizer(n, b.y)
+        sigma_0 = compose_all((*extras, sigma_c, sigma_inf), n).inverse()
+        centralizer = centralizer or _centralizer(sigma_inf)
         for image in centralizer:
             conjugate = [0] * n
             for p, s in zip(image, sigma_c.images):
@@ -491,15 +489,16 @@ def _pairs(n: int) -> tuple[list[tuple[int, int]], list[int]]:
     return pairs, number
 
 
-def _centralizer(n: int, cycle_type: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The centralizer of _canonical_representative(n, cycle_type) as sorted image tuples.
+def _centralizer(sigma: Permutation) -> tuple[tuple[int, ...], ...]:
+    """The centralizer of sigma as sorted image tuples.
 
     Built from the cycles, not by filtering n!: an element sends each cycle
     to a cycle of the same length, rotated by any amount, so there are
     prod l^m_l m_l! of them for m_l cycles of length l.
     """
+    n = sigma.degree
     cycles_by_length: dict[int, list[tuple[int, ...]]] = {}
-    for cycle in cycles_of(_canonical_representative(n, cycle_type).images):
+    for cycle in cycles_of(sigma.images):
         cycles_by_length.setdefault(len(cycle), []).append(cycle)
     moves_by_length = []  # for each length, every map of its points that commutes
     for length, cycles in cycles_by_length.items():
@@ -522,11 +521,12 @@ def _centralizer(n: int, cycle_type: tuple[int, ...]) -> tuple[tuple[int, ...], 
     return tuple(sorted(elements))
 
 
-def _hits(sigma_inf: Permutation, z_class, x: tuple[int, ...], r: int, budget: int):
-    """(index, sigma_c, v) for each candidate within budget whose sigma_0 has type x, in order.
+def _hits(sigma_inf: Permutation, z_class, x: tuple[int, ...], r: int, pairs, pair_number, budget: int):
+    """(index, sigma_c) for each candidate within budget whose sigma_0 has type x, in order.
 
-    With u = t_(r-1) ... t_1 sigma_inf from the prefix stack and v = t_r u,
-    q = sigma_c t_r u is conjugate to t_r w with w = u sigma_c.  A
+    With u = t_(r-1) ... t_1 sigma_inf from the prefix stack and w = u sigma_c,
+    sigma_0^-1 = sigma_inf sigma_c t_r u is conjugate to t_r w, so sigma_0 has
+    the cycle type of t_r w.  pairs and pair_number are `_pairs(n)`.  A
     transposition (i j) joins the cycles of w through i and j when they
     differ (lengths a, b -> a + b) and splits a cycle of length L in which
     j lies d steps after i into cycles of lengths d and L - d.  So one walk
@@ -534,7 +534,7 @@ def _hits(sigma_inf: Permutation, z_class, x: tuple[int, ...], r: int, budget: i
     or len(x) - 1 cycles and differ from x by one such move (`_move_to`).
     Candidate number (prefix P + k) |class| + class index, for the k-th of
     the P transpositions, fixes the order and the budget.  With r = 0 the
-    prefix is empty, v = u = sigma_inf, the candidate number is the class
+    prefix is empty, u = sigma_inf, the candidate number is the class
     index, and the last move is no move: w must have type x itself.
     """
     n, size = len(sigma_inf.images), len(z_class)
@@ -583,9 +583,9 @@ def _hits(sigma_inf: Permutation, z_class, x: tuple[int, ...], r: int, budget: i
                 return
             if r:
                 k, ci = divmod(hit, size)
-                yield prefix + (k,), z_class[ci], _after(pairs[k], u)
+                yield prefix + (k,), z_class[ci]
             else:
-                yield prefix, z_class[hit], u
+                yield prefix, z_class[hit]
 
 
 def _move_to(shape: tuple[int, ...], x: tuple[int, ...]) -> tuple[str, int, int] | None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Polynomial, _coerce, rational_sqrt
+from .exact import Polynomial, rational_sqrt
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,6 @@ def sigma_pi(a, b) -> SigmaPi:
     Accepts Fractions for exact point evaluation, or any field element
     (rational functions included) for symbolic identity checks.
     """
-    a = _coerce(a)
-    b = _coerce(b)
     a3 = a * a * a
     return SigmaPi(sigma=a3 - b * b + 1, pi=a3)
 
@@ -48,8 +46,6 @@ def discriminant_delta(a, b):
     Vanishes exactly when the six fiber locations degenerate, equivalently
     when the two j-invariants coincide (it equals sigma^2 - 4 pi).
     """
-    a = _coerce(a)
-    b = _coerce(b)
     a3 = a * a * a
     return (a3 - (b - 1) * (b - 1)) * (a3 - (b + 1) * (b + 1))
 

@@ -297,6 +297,14 @@ class TestEnumerate:
         [row] = [row for row in rows if row["branch_data"] == quintic]
         assert (row["h11"], row["h21"], row["euler"]) == (59, 3, 112)
 
+    def test_degree_six_output_pinned(self, capsys):
+        # the n = 6 searches and their reports, byte for byte
+        code, out, err = run(["enumerate", "--max-degree", "6"], capsys)
+        assert (code, err) == (0, "enumerate: 145 admissible branch data\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a675fe8134e5cbfcb52ea679de03e1b9b0cce72824a188a7001a584023f6e090"
+        )
+
     def test_monotone_in_degree(self):
         assert set(cli.admissible_branch_data(4)) <= set(cli.admissible_branch_data(5))
 

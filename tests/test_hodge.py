@@ -8,6 +8,7 @@ from kumfib import hodge
 from kumfib.hodge import (
     COMPONENTS_BY_Y,
     CY_INFINITY_PROFILES,
+    CYReport,
     MULTIPLICITIES_BY_Y,
     InternalError,
     UnsupportedError,
@@ -189,6 +190,23 @@ class TestPipeline:
         assert (r.s, r.p_g, r.genera) == (3, 2, (0, 0, 2))
         assert (r.h11, r.h21, r.euler) == (59, 3, 112)
         assert r.guaranteed_smooth
+
+    @pytest.mark.parametrize(
+        "data",
+        [QUINTIC, BranchData(n=8, x=(4, 4), y=(4, 4), z=(2, 2, 1, 1, 1, 1), r=0)],
+        ids=["quintic", "two-outcomes"],
+    )
+    def test_one_report_built_per_outcome(self, monkeypatch, data):
+        built = []
+        init = CYReport.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CYReport, "__init__", counting_init)
+        reports = analyze_branch_data(data)
+        assert built == reports
 
     def test_records_do_not_depend_on_search_order(self, monkeypatch):
         # a complete search with two outcomes, (s, p_g) = (6, 0) and (7, 1)

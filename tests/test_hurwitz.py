@@ -25,6 +25,7 @@ from kumfib.hurwitz import (
     _canonical_representative,
     _centralizer,
     _hits,
+    _pairs,
     _permutations_of_type,
     branch_data_of,
     canonical_key,
@@ -550,6 +551,23 @@ class TestSearchTuples:
         result = search_tuples(data, limit=2, max_candidates=2000)
         assert result.truncated
 
+    @pytest.mark.parametrize("limit", [0, -3])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            BranchData(n=5, x=(5,), y=(4, 1), z=(1, 1, 1, 1, 1), r=1),
+            BranchData(n=2, x=(2,), y=(2,), z=(2,), r=0),
+        ],
+        ids=["quintic", "no-rational-cover"],
+    )
+    def test_limit_below_one_refused(self, data, limit):
+        # refused before any work, even where no search would run
+        with pytest.raises(HurwitzError, match=f"search limit must be at least 1, got {limit}"):
+            search_tuples(data, limit=limit)
+        if data.admits_rational_cover():
+            with pytest.raises(HurwitzError, match=f"got {limit}"):
+                hodge.analyze_branch_data(data, limit=limit)
+
 
 #: Per datum, the candidates made so far and the iterator that makes the
 #: rest, so the search tests of this module share one enumeration.
@@ -630,8 +648,9 @@ class TestSearchEquivalence:
             n, budget = b.n, 5000
             transpositions = [Permutation.from_cycles(n, [pair]) for pair in itertools.combinations(range(1, n + 1), 2)]
             sigma_inf = _canonical_representative(n, b.y)
-            hits = _hits(sigma_inf, _permutations_of_type(n, b.z), b.x, b.r, budget)
-            found = [(tuple(transpositions[k] for k in index), sigma_c) for index, sigma_c, _ in hits]
+            pairs, pair_number = _pairs(n)
+            hits = _hits(sigma_inf, _permutations_of_type(n, b.z), b.x, b.r, pairs, pair_number, budget)
+            found = [(tuple(transpositions[k] for k in index), sigma_c) for index, sigma_c in hits]
             candidates = itertools.islice(reference_candidates(b), budget)
             assert found == [(e, c) for e, c, sigma_0 in candidates if sigma_0.cycle_type() == b.x], b
 
@@ -681,14 +700,15 @@ class TestSeenSet:
         for y in CY_INFINITY_PROFILES:
             n = sum(y)
             if n <= 6:
-                found = tuple(map(Permutation, _centralizer(n, y)))
-                assert found == commuting_filter(_canonical_representative(n, y)), y
+                sigma = _canonical_representative(n, y)
+                found = tuple(map(Permutation, _centralizer(sigma)))
+                assert found == commuting_filter(sigma), y
                 assert len(found) == centralizer_order(y), y
 
     def test_degree_eight_centralizers(self):
         for y in ((4, 4), (8,)):
             sigma = _canonical_representative(8, y)
-            found = tuple(map(Permutation, _centralizer(8, y)))
+            found = tuple(map(Permutation, _centralizer(sigma)))
             assert len(set(found)) == len(found) == centralizer_order(y)
             assert all(rho * sigma == sigma * rho for rho in found)
 
