@@ -41,7 +41,8 @@ from .hurwitz import (
     InvalidCoverError,
     SearchResult,
     branch_data_of,
-    pullback,
+    component_genera,
+    pullback,  # noqa: F401  unused, but perfbench/tracing.py wraps hodge.pullback by name
     search_tuples,
     validate,
 )
@@ -212,12 +213,15 @@ _DISTINCT_COMPONENTS = tuple(Counter(C2_COMPONENTS).items())
 def fixed_curve(g: HurwitzCover) -> tuple[int, ...]:
     """The sorted component genera of the fixed curve pulled back along g.
 
-    s is their number and p_g their sum.  The two double covers are one
-    cover, so it is pulled back once and its genera are counted twice.
+    s is their number and p_g their sum.  Each component of the fixed curve
+    gives the genera of its pullback straight from the pair action
+    (`hurwitz.component_genera`), with no ComponentReport built.  The two
+    double covers are one cover, so its genera are computed once and
+    counted twice.
     """
     genera = []
     for component, times in _DISTINCT_COMPONENTS:
-        genera.extend([report.genus for report in pullback(component, g)] * times)
+        genera.extend(component_genera(component, g) * times)
     return tuple(sorted(genera))
 
 

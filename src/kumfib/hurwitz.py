@@ -218,24 +218,18 @@ class ComponentReport:
         )
 
 
-def pullback(base_cover: HurwitzCover, g: HurwitzCover) -> list[ComponentReport]:
-    """Components of the normalized pullback of base_cover along g.
+def _pair_generators(base_cover: HurwitzCover, g: HurwitzCover) -> dict[str, list[int]]:
+    """The product representation of base_cover and g, as image lists keyed by mark.
 
-    Both covers live over the same marked line; their extra branch points
-    are treated as distinct.  Both are well formed by construction and need
-    not be connected.  The product representation acts on label pairs
-    (a, b) in {0..d-1} x {0..n-1}, 0-based, at pair index a n + b; each
-    generator is the list of images of the pair indices, a base extra acting
-    as (a, .) and a cover extra as (., b).  Orbits are the components, and
-    each cycle of a generator lies in one orbit and adds its length to that
-    orbit's profile (a pair of local indices e, e' meets in gcd(e, e') points
-    of index lcm(e, e')); the genus comes from Riemann-Hurwitz.  No
-    Permutation is built.
+    It acts on label pairs (a, b) in {0..d-1} x {0..n-1}, 0-based, at pair
+    index a n + b: a special mark as (a, b) -> (pa[a], pb[b]) for its
+    permutations pa of base_cover and pb of g, a base extra as (a, .) under
+    the key "a:<mark>" and a cover extra as (., b) under "b:<mark>", the
+    base's extras first.
     """
     d, n = base_cover.degree, g.degree
 
     def pair_images(pa, pb) -> list[int]:
-        # (a, b) -> (pa[a], pb[b]) on pair indices
         return [i * n + j for i in pa for j in pb]
 
     generators = {
@@ -246,8 +240,25 @@ def pullback(base_cover: HurwitzCover, g: HurwitzCover) -> list[ComponentReport]
         generators[f"a:{mark}"] = pair_images(pa.images, range(n))
     for mark, pb in zip(g.marks[3:], g.extras):
         generators[f"b:{mark}"] = pair_images(range(d), pb.images)
+    return generators
 
-    orbit_of, sizes = orbit_labels(d * n, generators.values())
+
+def pullback(base_cover: HurwitzCover, g: HurwitzCover) -> list[ComponentReport]:
+    """Components of the normalized pullback of base_cover along g.
+
+    Both covers live over the same marked line; their extra branch points
+    are treated as distinct.  Both are well formed by construction and need
+    not be connected.  The product representation (`_pair_generators`) acts
+    on label pairs (a, b) in {0..d-1} x {0..n-1}, 0-based, at pair index
+    a n + b; each generator is the list of images of the pair indices, a
+    base extra acting as (a, .) and a cover extra as (., b).  Orbits are the
+    components, and each cycle of a generator lies in one orbit and adds its
+    length to that orbit's profile (a pair of local indices e, e' meets in
+    gcd(e, e') points of index lcm(e, e')); the genus comes from
+    Riemann-Hurwitz.  No Permutation is built.
+    """
+    generators = _pair_generators(base_cover, g)
+    orbit_of, sizes = orbit_labels(base_cover.degree * g.degree, generators.values())
     lengths = [{mark: [] for mark in generators} for _ in sizes]
     for mark, w in generators.items():
         for cycle in cycles_of(w):
@@ -264,6 +275,23 @@ def pullback(base_cover: HurwitzCover, g: HurwitzCover) -> list[ComponentReport]
         )
     components.sort(key=lambda c: (c.degree, sorted(c.profiles.items()), c.genus))
     return components
+
+
+def component_genera(base_cover: HurwitzCover, g: HurwitzCover) -> list[int]:
+    """The genera of the components of the pullback of base_cover along g.
+
+    One genus per orbit of the pair action (`_pair_generators`), orbits in
+    order of their least pair index, the multiset of `pullback`'s genera
+    without its reports.  By Riemann-Hurwitz an orbit O has
+    2g - 2 = -2|O| + sum (len(cycle) - 1) over the generators' cycles in O.
+    """
+    generators = _pair_generators(base_cover, g).values()
+    orbit_of, sizes = orbit_labels(base_cover.degree * g.degree, generators)
+    twice = [-2 * size for size in sizes]  # 2g - 2 per orbit
+    for w in generators:
+        for cycle in cycles_of(w):
+            twice[orbit_of[cycle[0]]] += len(cycle) - 1
+    return [t // 2 + 1 for t in twice]
 
 
 # -- the fixed curve of the reference family ----------------------------------------
@@ -538,7 +566,6 @@ def _hits(sigma_inf: Permutation, z_class, x: tuple[int, ...], r: int, pairs, pa
     index, and the last move is no move: w must have type x itself.
     """
     n, size = len(sigma_inf.images), len(z_class)
-    pairs, pair_number = _pairs(n)
     per_prefix = len(pairs) * size if r else size
     # a transposition changes the count by one; no move keeps it
     cycle_counts = {len(x) - 1, len(x) + 1} if r else {len(x)}

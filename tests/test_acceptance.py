@@ -203,6 +203,11 @@ FAULTS = [
         "no-rational-cover",
         lambda monkeypatch: monkeypatch.setattr(hurwitz.BranchData, "admits_rational_cover", lambda b: False),
     ),
+    (
+        "cy-vs-riemann-hurwitz",
+        "k-off-by-one",
+        lambda monkeypatch: monkeypatch.setattr(hurwitz.BranchData, "k", property(lambda b: len(b.x) + 1)),
+    ),
     ("pullback-accounting", "component-dropped", _fault(hurwitz, "pullback", lambda real: lambda a, g: real(a, g)[:-1])),
     ("vieta", "roots-equal", _fault(mpolar, "j_pair", lambda real: lambda sp: (real(sp)[0],) * 2)),
     (

@@ -30,6 +30,7 @@ from kumfib.hurwitz import (
     HurwitzCover,
     InvalidCoverError,
     branch_data_of,
+    component_genera,
     pullback,
     regular_deck_cover,
     search_tuples,
@@ -226,13 +227,14 @@ class TestPipeline:
         assert fixed_curve(regular_deck_cover()) == (0,) * 8
 
     def test_each_distinct_component_pulled_back_once(self, monkeypatch):
-        # C2_COMPONENTS is (double, double, quadruple): two pullbacks, not three
+        # C2_COMPONENTS is (double, double, quadruple): two genera lists, not three
         g = regular_deck_cover()
         reports = [r for c in C2_COMPONENTS for r in pullback(c, g)]
         calls = []
-        monkeypatch.setattr(hodge, "pullback", lambda *a: calls.append(a) or pullback(*a))
+        monkeypatch.setattr(hodge, "component_genera", lambda *a: calls.append(a) or component_genera(*a))
+        monkeypatch.setattr(hodge, "pullback", lambda *a: pytest.fail("fixed_curve builds no pullback reports"))
         genera = fixed_curve(g)
-        assert len(calls) == 2
+        assert [c.degree for c, _ in calls] == [2, 4]
         assert genera == tuple(sorted(r.genus for r in reports))
 
     @pytest.mark.parametrize(

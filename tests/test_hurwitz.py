@@ -29,6 +29,7 @@ from kumfib.hurwitz import (
     _permutations_of_type,
     branch_data_of,
     canonical_key,
+    component_genera,
     genus,
     partitions,
     pullback,
@@ -489,6 +490,31 @@ class TestPullbackReference:
                 assert report_items(reports) == report_items(reference_pullback(base, cover))
 
 
+class TestComponentGenera:
+    def test_equals_the_pullback_genera_on_random_covers(self):
+        # degrees 2-6, extras on both sides, and every fourth pair disconnected
+        rng = random.Random(20261020)
+        for trial in range(300):
+            if trial % 4:
+                a = random_cover(rng, rng.randint(2, 6), rng.randint(1, 3))
+                g = random_cover(rng, rng.randint(2, 6), rng.randint(1, 3))
+            else:
+                a = direct_sum(random_cover(rng, rng.randint(1, 3), rng.randint(1, 2)),
+                               random_cover(rng, rng.randint(1, 3), rng.randint(1, 2)))
+                g = direct_sum(random_cover(rng, rng.randint(1, 3), rng.randint(1, 2)), HurwitzCover(rng.randint(1, 3)))
+                assert validate(a) and validate(g)
+            for base, cover in ((a, g), (g, a)):
+                got = component_genera(base, cover)
+                assert Counter(got) == Counter(r.genus for r in pullback(base, cover)), (base, cover)
+
+    def test_fixed_curve_equals_the_pullback_reference_on_every_small_search(self, small_searches):
+        covers = [c for result in small_searches.values() for c in result.covers]
+        assert len(covers) > 100
+        for g in covers:
+            reference = sorted(r.genus for component in C2_COMPONENTS for r in pullback(component, g))
+            assert hodge.fixed_curve(g) == tuple(reference), g
+
+
 class TestC2Components:
     def test_built_once(self):
         # a constant built at import, the very tuple the Hodge pipeline pulls back
@@ -653,6 +679,14 @@ class TestSearchEquivalence:
             found = [(tuple(transpositions[k] for k in index), sigma_c) for index, sigma_c in hits]
             candidates = itertools.islice(reference_candidates(b), budget)
             assert found == [(e, c) for e, c, sigma_0 in candidates if sigma_0.cycle_type() == b.x], b
+
+    def test_one_pair_table_per_search(self, monkeypatch):
+        # _hits takes the table search_tuples made; it does not build its own
+        made = []
+        monkeypatch.setattr(hurwitz, "_pairs", lambda n: made.append(n) or _pairs(n))
+        result = search_tuples(BranchData(n=4, x=(1, 1, 1, 1), y=(2, 2), z=(3, 1), r=2))
+        assert len(result.covers) == 3
+        assert made == [4]
 
     def test_candidate_budget_is_exact(self):
         # 8 three-cycles over 1/256 times 6 ** 2 pairs of extras: 288 candidates
