@@ -346,22 +346,27 @@ class SearchResult:
 
 
 @lru_cache(maxsize=64)
-def _permutations_of_type(n: int, cycle_type: tuple[int, ...]) -> tuple[Permutation, ...]:
-    """The conjugacy class of S_n with this cycle type, in lexicographic order of images.
+def _permutations_of_type(n: int, cycle_type: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The conjugacy class of S_n with this cycle type, as sorted 0-based image tuples.
 
-    Cycles are placed directly: the least free point starts the next cycle,
-    whose length is any length still to place and whose other points are any
-    ordered choice of free points.  That reaches each element once; sorting
-    the image tuples gives the order of filtering itertools.permutations.
+    An element is its support, the k points its cycles longer than 1 move,
+    and a fixed-point-free pattern of those cycles.  The patterns are placed
+    once on 0..k-1 (the least free point starts the next cycle, whose length
+    is any length still to place and whose other points are any ordered
+    choice of free points, so each pattern is reached once) and carried onto
+    every k-subset of 0..n-1.  Sorting gives the order of filtering
+    itertools.permutations.  No Permutation is built.
     """
     if any(length < 1 for length in cycle_type) or sum(cycle_type) != n:
         return ()
-    images = list(range(n))
-    out: list[tuple[int, ...]] = []
+    parts = [length for length in cycle_type if length > 1]
+    k = sum(parts)
+    pattern = list(range(k))
+    patterns: list[tuple[int, ...]] = []
 
     def place(free: list[int], lengths: list[int]) -> None:
         if not free:
-            out.append(tuple(images))
+            patterns.append(tuple(pattern))
             return
         start, rest = free[0], free[1:]
         for length in set(lengths):
@@ -370,12 +375,19 @@ def _permutations_of_type(n: int, cycle_type: tuple[int, ...]) -> tuple[Permutat
             for others in itertools.permutations(rest, length - 1):
                 cycle = (start, *others)
                 for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                    images[a] = b
+                    pattern[a] = b
                 place([p for p in rest if p not in others], remaining)
 
-    place(list(range(n)), list(cycle_type))
+    place(list(range(k)), parts)
+    out: list[tuple[int, ...]] = []
+    for support in itertools.combinations(range(n), k):
+        images = list(range(n))  # every pattern rewrites the whole support
+        for q in patterns:
+            for p, image in zip(support, map(support.__getitem__, q)):
+                images[p] = image
+            out.append(tuple(images))
     out.sort()
-    return tuple(map(Permutation, out))
+    return tuple(out)
 
 
 def _canonical_representative(n: int, cycle_type: tuple[int, ...]) -> Permutation:
@@ -437,9 +449,10 @@ def search_tuples(
     Candidates are taken in a fixed order: the ordered tuples of extra
     transpositions in itertools.product order (transpositions (i j), i < j,
     lexicographic), and for each of them the whole conjugacy class over
-    1/256 in lexicographic order of images.  The class is built directly
-    from cycle placements (`_permutations_of_type`), not filtered out of all
-    n! permutations.  A hit is a candidate whose sigma_0 has cycle type x.
+    1/256 in lexicographic order of images.  The class is a tuple of image
+    tuples (`_permutations_of_type`), its cycle patterns carried onto every
+    support, and sigma_c stays an image tuple until a hit reaches the
+    transitivity test.  A hit is a candidate whose sigma_0 has cycle type x.
     Transitivity is tested on sigma_c, sigma_inf and the extras, which
     generate sigma_0, and sigma_0 is built only for transitive hits, as the
     inverse of sigma_inf sigma_c t_r ... t_1.
@@ -461,10 +474,12 @@ def search_tuples(
     tuples, even if none is left to find, or when a candidate past
     `max_candidates` would be examined, i.e. exactly when the
     P^r |class| candidates (P transpositions) exceed `max_candidates`.
-    A `limit` below 1 is refused with HurwitzError.
+    A `limit` or a `max_candidates` below 1 is refused with HurwitzError.
     """
     if limit < 1:
         raise HurwitzError(f"search limit must be at least 1, got {limit}")
+    if max_candidates < 1:
+        raise HurwitzError(f"candidate budget must be at least 1, got {max_candidates}")
     if not b.admits_rational_cover():
         return SearchResult(covers=(), truncated=False)
     if b.n > MAX_SEARCH_DEGREE:
@@ -481,20 +496,21 @@ def search_tuples(
     found: list[HurwitzCover] = []
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     centralizer: tuple[tuple[int, ...], ...] = ()  # made at the first kept tuple
-    for index, sigma_c in _hits(sigma_inf, z_class, b.x, b.r, pairs, pair_number, max_candidates):
-        if (index, sigma_c.images) in seen:
+    for index, images in _hits(sigma_inf, z_class, b.x, b.r, pairs, pair_number, max_candidates):
+        if (index, images) in seen:
             continue
+        sigma_c = Permutation(images)
         extras = tuple(transpositions[k] for k in index)
         # sigma_0 is a product of the others' inverses: same orbits without it
         if not is_transitive(n, (sigma_c, sigma_inf, *extras)):
             continue
         sigma_0 = compose_all((*extras, sigma_c, sigma_inf), n).inverse()
         centralizer = centralizer or _centralizer(sigma_inf)
-        for image in centralizer:
+        for rho in centralizer:
             conjugate = [0] * n
-            for p, s in zip(image, sigma_c.images):
-                conjugate[p] = image[s]
-            moved = tuple(pair_number[image[pairs[k][0]] * n + image[pairs[k][1]]] for k in index)
+            for p, s in zip(rho, images):
+                conjugate[p] = rho[s]
+            moved = tuple(pair_number[rho[pairs[k][0]] * n + rho[pairs[k][1]]] for k in index)
             seen.add((moved, tuple(conjugate)))
         found.append(
             HurwitzCover(n, quarter256=sigma_c, infinity=sigma_inf, zero=sigma_0, extras=extras)
@@ -550,8 +566,9 @@ def _centralizer(sigma: Permutation) -> tuple[tuple[int, ...], ...]:
 
 
 def _hits(sigma_inf: Permutation, z_class, x: tuple[int, ...], r: int, pairs, pair_number, budget: int):
-    """(index, sigma_c) for each candidate within budget whose sigma_0 has type x, in order.
+    """(index, images) for each candidate within budget whose sigma_0 has type x, in order.
 
+    z_class holds the class over 1/256 as image tuples; images is sigma_c's.
     With u = t_(r-1) ... t_1 sigma_inf from the prefix stack and w = u sigma_c,
     sigma_0^-1 = sigma_inf sigma_c t_r u is conjugate to t_r w, so sigma_0 has
     the cycle type of t_r w.  pairs and pair_number are `_pairs(n)`.  A
@@ -576,7 +593,7 @@ def _hits(sigma_inf: Permutation, z_class, x: tuple[int, ...], r: int, pairs, pa
             return
         local = []  # k |class| + class index of each hit
         for ci, sigma_c in enumerate(z_class):
-            w = list(map(u.__getitem__, sigma_c.images))
+            w = list(map(u.__getitem__, sigma_c))
             cycles = cycles_of(w)
             if len(cycles) not in cycle_counts:
                 continue

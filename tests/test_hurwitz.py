@@ -594,6 +594,23 @@ class TestSearchTuples:
             with pytest.raises(HurwitzError, match=f"got {limit}"):
                 hodge.analyze_branch_data(data, limit=limit)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            BranchData(n=5, x=(5,), y=(4, 1), z=(1, 1, 1, 1, 1), r=1),
+            BranchData(n=2, x=(2,), y=(2,), z=(2,), r=0),
+        ],
+        ids=["quintic", "no-rational-cover"],
+    )
+    def test_candidate_budget_below_one_refused(self, data, budget):
+        # as the limit: refused before any work, not a silently truncated empty result
+        with pytest.raises(HurwitzError, match=f"candidate budget must be at least 1, got {budget}"):
+            search_tuples(data, max_candidates=budget)
+        if data.admits_rational_cover():
+            with pytest.raises(HurwitzError, match=f"got {budget}"):
+                hodge.analyze_branch_data(data, max_candidates=budget)
+
 
 #: Per datum, the candidates made so far and the iterator that makes the
 #: rest, so the search tests of this module share one enumeration.
@@ -621,7 +638,8 @@ def _fresh_candidates(b):
     n = b.n
     sigma_inf_inv = _canonical_representative(n, b.y).inverse()
     transpositions = [Permutation.from_cycles(n, [pair]) for pair in itertools.combinations(range(1, n + 1), 2)]
-    tails = [(sigma_c, sigma_c.inverse() * sigma_inf_inv) for sigma_c in _permutations_of_type(n, b.z)]
+    z_class = map(Permutation, _permutations_of_type(n, b.z))
+    tails = [(sigma_c, sigma_c.inverse() * sigma_inf_inv) for sigma_c in z_class]
     for extras in itertools.product(transpositions, repeat=b.r):
         lead = Permutation.identity(n)
         for tau in extras:
@@ -676,9 +694,9 @@ class TestSearchEquivalence:
             sigma_inf = _canonical_representative(n, b.y)
             pairs, pair_number = _pairs(n)
             hits = _hits(sigma_inf, _permutations_of_type(n, b.z), b.x, b.r, pairs, pair_number, budget)
-            found = [(tuple(transpositions[k] for k in index), sigma_c) for index, sigma_c in hits]
+            found = [(tuple(transpositions[k] for k in index), images) for index, images in hits]
             candidates = itertools.islice(reference_candidates(b), budget)
-            assert found == [(e, c) for e, c, sigma_0 in candidates if sigma_0.cycle_type() == b.x], b
+            assert found == [(e, c.images) for e, c, sigma_0 in candidates if sigma_0.cycle_type() == b.x], b
 
     def test_one_pair_table_per_search(self, monkeypatch):
         # _hits takes the table search_tuples made; it does not build its own
@@ -771,9 +789,9 @@ class TestSeenSet:
 
 
 def filtered_class(n, cycle_type):
-    """The class as the n! filter finds it, in lexicographic order of images."""
+    """The class as the n! filter finds it, image tuples in lexicographic order."""
     perms = map(Permutation, itertools.permutations(range(n)))
-    return tuple(p for p in perms if p.cycle_type() == cycle_type)
+    return tuple(p.images for p in perms if p.cycle_type() == cycle_type)
 
 
 def centralizer_order(cycle_type):
@@ -786,13 +804,29 @@ class TestClassGenerator:
             for part in partitions(n):
                 assert _permutations_of_type(n, part) == filtered_class(n, part), part
 
-    def test_degree_eight_classes(self):
-        for part in partitions(8):
-            cls = _permutations_of_type(8, part)
-            assert len(cls) == math.factorial(8) // centralizer_order(part)
+    @staticmethod
+    def check_classes(n):
+        for part in partitions(n):
+            cls = _permutations_of_type(n, part)
+            assert len(cls) == math.factorial(n) // centralizer_order(part)
             assert len(set(cls)) == len(cls)
-            assert all(p.cycle_type() == part for p in cls)
-            assert [p.images for p in cls] == sorted(p.images for p in cls)
+            assert all(Permutation(images).cycle_type() == part for images in cls)
+            assert list(cls) == sorted(cls)
+
+    def test_degree_seven_classes(self):
+        self.check_classes(7)
+
+    def test_degree_eight_classes(self):
+        self.check_classes(8)
+
+    def test_builds_no_permutation(self, monkeypatch):
+        built = []
+        real = Permutation.__init__
+        monkeypatch.setattr(Permutation, "__init__", lambda self, images: built.append(1) or real(self, images))
+        _permutations_of_type.cache_clear()
+        cls = _permutations_of_type(8, (3, 2, 1, 1, 1))
+        assert len(cls) == math.factorial(8) // centralizer_order((3, 2, 1, 1, 1))
+        assert built == []
 
     def test_all_degree_eight_classes_within_budget(self):
         # the n! filter took about 8 s for these 22 classes
