@@ -41,8 +41,7 @@ from .hurwitz import (
     InvalidCoverError,
     SearchResult,
     branch_data_of,
-    component_genera,
-    pullback,  # noqa: F401  unused, but perfbench/tracing.py wraps hodge.pullback by name
+    pullback,
     search_tuples,
     validate,
 )
@@ -214,14 +213,13 @@ def fixed_curve(g: HurwitzCover) -> tuple[int, ...]:
     """The sorted component genera of the fixed curve pulled back along g.
 
     s is their number and p_g their sum.  Each component of the fixed curve
-    gives the genera of its pullback straight from the pair action
-    (`hurwitz.component_genera`), with no ComponentReport built.  The two
-    double covers are one cover, so its genera are computed once and
-    counted twice.
+    is pulled back along g (`hurwitz.pullback`), which gives the degree and
+    genus of each component of its pullback.  The two double covers are one
+    cover, so it is pulled back once and its genera counted twice.
     """
     genera = []
     for component, times in _DISTINCT_COMPONENTS:
-        genera.extend(component_genera(component, g) * times)
+        genera.extend([genus for _, genus in pullback(component, g)] * times)
     return tuple(sorted(genera))
 
 

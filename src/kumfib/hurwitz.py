@@ -16,9 +16,10 @@ matching the monodromy module's loop relation sigma_0 o sigma_inf o sigma_c = id
 
 The fixed-curve data of the reference family is hard-coded from its three
 printed components (two double covers branched over {0, infinity} and one
-four-fold cover with profiles [2,1,1]/[2,2]/[4] over 1/256, 0, infinity); the
-orbit model of a normalized fiber product then computes pullbacks, component
-decompositions, profiles and genera for arbitrary covers.
+four-fold cover with profiles [2,1,1]/[2,2]/[4] over 1/256, 0, infinity).
+One routine, `pullback`, gives the degree and genus of each component of
+the normalized fiber product of two covers, read from the orbits and cycles
+of the pair action.
 
 MAX_SEARCH_DEGREE, the package's one degree bound, lives here because hodge,
 cli and verification all import this module.
@@ -199,99 +200,45 @@ def branch_data_of(cover: HurwitzCover) -> BranchData:
 # -- normalized fiber products -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComponentReport:
-    """One component of a normalized fiber product, as a cover of the base.
-
-    degree is the degree over the common (moduli) base; profiles map each
-    mark to the cycle lengths of the pair permutation on the component, so
-    Riemann-Hurwitz reads 2g - 2 = -2 degree + sum(e - 1) over all entries.
-    """
-
-    degree: int
-    profiles: dict[str, tuple[int, ...]]
-    genus: int
-
-    def ramification_total(self) -> int:
-        return sum(
-            sum(e - 1 for e in lengths) for lengths in self.profiles.values()
-        )
-
-
-def _pair_generators(base_cover: HurwitzCover, g: HurwitzCover) -> dict[str, list[int]]:
-    """The product representation of base_cover and g, as image lists keyed by mark.
+def _pair_generators(base_cover: HurwitzCover, g: HurwitzCover) -> list[list[int]]:
+    """The product representation of base_cover and g, as image lists.
 
     It acts on label pairs (a, b) in {0..d-1} x {0..n-1}, 0-based, at pair
-    index a n + b: a special mark as (a, b) -> (pa[a], pb[b]) for its
-    permutations pa of base_cover and pb of g, a base extra as (a, .) under
-    the key "a:<mark>" and a cover extra as (., b) under "b:<mark>", the
-    base's extras first.
+    index a n + b.  The special marks come first, in SPECIAL_MARKS order,
+    each as (a, b) -> (pa[a], pb[b]) for its permutations pa of base_cover
+    and pb of g; then each base extra as (a, .), then each cover extra as
+    (., b).
     """
     d, n = base_cover.degree, g.degree
 
     def pair_images(pa, pb) -> list[int]:
         return [i * n + j for i in pa for j in pb]
 
-    generators = {
-        mark: pair_images(getattr(base_cover, mark).images, getattr(g, mark).images)
-        for mark in SPECIAL_MARKS
-    }
-    for mark, pa in zip(base_cover.marks[3:], base_cover.extras):
-        generators[f"a:{mark}"] = pair_images(pa.images, range(n))
-    for mark, pb in zip(g.marks[3:], g.extras):
-        generators[f"b:{mark}"] = pair_images(range(d), pb.images)
-    return generators
+    return [
+        *(pair_images(getattr(base_cover, mark).images, getattr(g, mark).images) for mark in SPECIAL_MARKS),
+        *(pair_images(pa.images, range(n)) for pa in base_cover.extras),
+        *(pair_images(range(d), pb.images) for pb in g.extras),
+    ]
 
 
-def pullback(base_cover: HurwitzCover, g: HurwitzCover) -> list[ComponentReport]:
-    """Components of the normalized pullback of base_cover along g.
+def pullback(base_cover: HurwitzCover, g: HurwitzCover) -> list[tuple[int, int]]:
+    """(degree, genus) of each component of the normalized pullback of base_cover along g.
 
     Both covers live over the same marked line; their extra branch points
     are treated as distinct.  Both are well formed by construction and need
-    not be connected.  The product representation (`_pair_generators`) acts
-    on label pairs (a, b) in {0..d-1} x {0..n-1}, 0-based, at pair index
-    a n + b; each generator is the list of images of the pair indices, a
-    base extra acting as (a, .) and a cover extra as (., b).  Orbits are the
-    components, and each cycle of a generator lies in one orbit and adds its
-    length to that orbit's profile (a pair of local indices e, e' meets in
-    gcd(e, e') points of index lcm(e, e')); the genus comes from
-    Riemann-Hurwitz.  No Permutation is built.
+    not be connected.  The components are the orbits of the pair action
+    (`_pair_generators`), in order of their least pair index; a component's
+    degree over the base is its orbit's size.  By Riemann-Hurwitz an orbit O
+    has 2g - 2 = -2|O| + sum (len(cycle) - 1) over the generators' cycles in
+    O.  No Permutation is built.
     """
     generators = _pair_generators(base_cover, g)
-    orbit_of, sizes = orbit_labels(base_cover.degree * g.degree, generators.values())
-    lengths = [{mark: [] for mark in generators} for _ in sizes]
-    for mark, w in generators.items():
-        for cycle in cycles_of(w):
-            lengths[orbit_of[cycle[0]]][mark].append(len(cycle))
-    components = []
-    for size, by_mark in zip(sizes, lengths):
-        ram = sum(e - 1 for ls in by_mark.values() for e in ls)
-        components.append(
-            ComponentReport(
-                degree=size,
-                profiles={mark: tuple(sorted(ls, reverse=True)) for mark, ls in by_mark.items()},
-                genus=(ram - 2 * size + 2) // 2,
-            )
-        )
-    components.sort(key=lambda c: (c.degree, sorted(c.profiles.items()), c.genus))
-    return components
-
-
-def component_genera(base_cover: HurwitzCover, g: HurwitzCover) -> list[int]:
-    """The genera of the components of the pullback of base_cover along g.
-
-    One genus per orbit of the pair action (`_pair_generators`), orbits in
-    order of their least pair index, the multiset of `pullback`'s genera
-    without its reports.  By Riemann-Hurwitz an orbit O has
-    2g - 2 = -2|O| + sum (len(cycle) - 1) over the generators' cycles in O.
-    """
-    generators = _pair_generators(base_cover, g).values()
     orbit_of, sizes = orbit_labels(base_cover.degree * g.degree, generators)
     twice = [-2 * size for size in sizes]  # 2g - 2 per orbit
     for w in generators:
         for cycle in cycles_of(w):
             twice[orbit_of[cycle[0]]] += len(cycle) - 1
-    return [t // 2 + 1 for t in twice]
+    return [(size, t // 2 + 1) for size, t in zip(sizes, twice)]
 
 
 # -- the fixed curve of the reference family ----------------------------------------

@@ -117,13 +117,9 @@ class Permutation:
 
     # -- cycle structure -------------------------------------------------------
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycles, each starting at its least point, sorted."""
-        return [
-            tuple(p + 1 for p in cycle)
-            for cycle in cycles_of(self.images)
-            if include_fixed or len(cycle) > 1
-        ]
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Disjoint cycles of length at least 2, each starting at its least point, sorted."""
+        return [tuple(p + 1 for p in cycle) for cycle in cycles_of(self.images) if len(cycle) > 1]
 
     def cycle_type(self) -> tuple[int, ...]:
         """Partition of n by cycle lengths, largest first."""

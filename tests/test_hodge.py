@@ -30,7 +30,6 @@ from kumfib.hurwitz import (
     HurwitzCover,
     InvalidCoverError,
     branch_data_of,
-    component_genera,
     pullback,
     regular_deck_cover,
     search_tuples,
@@ -227,15 +226,14 @@ class TestPipeline:
         assert fixed_curve(regular_deck_cover()) == (0,) * 8
 
     def test_each_distinct_component_pulled_back_once(self, monkeypatch):
-        # C2_COMPONENTS is (double, double, quadruple): two genera lists, not three
+        # C2_COMPONENTS is (double, double, quadruple): two pullbacks, not three
         g = regular_deck_cover()
-        reports = [r for c in C2_COMPONENTS for r in pullback(c, g)]
+        expected = tuple(sorted(genus for c in C2_COMPONENTS for _, genus in pullback(c, g)))
         calls = []
-        monkeypatch.setattr(hodge, "component_genera", lambda *a: calls.append(a) or component_genera(*a))
-        monkeypatch.setattr(hodge, "pullback", lambda *a: pytest.fail("fixed_curve builds no pullback reports"))
+        monkeypatch.setattr(hodge, "pullback", lambda *a: calls.append(a) or pullback(*a))
         genera = fixed_curve(g)
         assert [c.degree for c, _ in calls] == [2, 4]
-        assert genera == tuple(sorted(r.genus for r in reports))
+        assert genera == expected
 
     @pytest.mark.parametrize(
         "b",

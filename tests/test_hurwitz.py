@@ -18,18 +18,17 @@ from kumfib.hurwitz import (
     MAX_SEARCH_DEGREE,
     SPECIAL_MARKS,
     BranchData,
-    ComponentReport,
     HurwitzCover,
     HurwitzError,
     SearchResult,
     _canonical_representative,
     _centralizer,
     _hits,
+    _pair_generators,
     _pairs,
     _permutations_of_type,
     branch_data_of,
     canonical_key,
-    component_genera,
     genus,
     partitions,
     pullback,
@@ -42,6 +41,7 @@ from kumfib.permutations import (
     Permutation,
     PermutationError,
     compose_all,
+    cycles_of,
     is_transitive,
     orbit_labels,
 )
@@ -268,25 +268,15 @@ class TestPartitions:
 class TestPullback:
     def test_identity_pullback_returns_the_cover(self):
         quad = C2_COMPONENTS[2]
-        identity_cover = HurwitzCover(1)
-        reports = pullback(quad, identity_cover)
-        assert len(reports) == 1
-        report = reports[0]
-        assert report.degree == 4
-        assert report.genus == genus(quad)
-        assert report.profiles["quarter256"] == (2, 1, 1)
-        assert report.profiles["zero"] == (2, 2)
-        assert report.profiles["infinity"] == (4,)
+        assert pullback(quad, HurwitzCover(1)) == [(4, genus(quad))]
+        profiles = [sorted(map(len, cycles_of(w)), reverse=True) for w in _pair_generators(quad, HurwitzCover(1))]
+        assert profiles == [[2, 1, 1], [4], [2, 2]]  # quarter256, infinity, zero
 
     def test_regular_cover_pullback_components(self):
         cover = regular_deck_cover()
-        counts = []
-        for component in C2_COMPONENTS:
-            reports = pullback(component, cover)
-            counts.append(len(reports))
-            assert all(r.genus == 0 for r in reports)
-            assert all(r.degree == 8 for r in reports)
-        assert counts == [2, 2, 4]  # eight components in total
+        components = [pullback(component, cover) for component in C2_COMPONENTS]
+        assert [len(c) for c in components] == [2, 2, 4]  # eight components in total
+        assert all(c == [(8, 0)] * len(c) for c in components)
 
     def test_relabeling_invariance(self):
         quad = C2_COMPONENTS[2]
@@ -298,11 +288,10 @@ class TestPullback:
             zero=quad.zero.conjugate_by(rho),
         )
         g = regular_deck_cover()
-        original = [(r.degree, sorted(r.profiles.items()), r.genus) for r in pullback(quad, g)]
-        relabeled = [(r.degree, sorted(r.profiles.items()), r.genus) for r in pullback(conjugated, g)]
-        assert original == relabeled
+        assert sorted(pullback(quad, g)) == sorted(pullback(conjugated, g))
 
     def test_pair_cycle_lengths_are_lcms(self):
+        # cycles of lengths p and q meet in gcd(p, q) cycles of length lcm(p, q)
         rng = random.Random(6)
         for _ in range(20):
             d, n = rng.randint(2, 6), rng.randint(2, 6)
@@ -317,30 +306,20 @@ class TestPullback:
                 return HurwitzCover(k, quarter256=ps[0], infinity=ps[1], zero=closing)
 
             a, g = rand_cover(d), rand_cover(n)
-            reports = pullback(a, g)
-            assert sum(r.degree for r in reports) == d * n
-            for mark in ("quarter256", "infinity", "zero"):
-                pa = getattr(a, mark)
-                pg = getattr(g, mark)
+            assert sum(degree for degree, _ in pullback(a, g)) == d * n
+            for mark, w in zip(SPECIAL_MARKS, _pair_generators(a, g)[:3]):
                 expected = sorted(
-                    (
-                        math.lcm(len(ca), len(cg))
-                        for ca in pa.cycles(include_fixed=True)
-                        for cg in pg.cycles(include_fixed=True)
-                        for _ in range(math.gcd(len(ca), len(cg)))
-                    ),
-                    reverse=True,
+                    math.lcm(len(ca), len(cg))
+                    for ca in cycles_of(getattr(a, mark).images)
+                    for cg in cycles_of(getattr(g, mark).images)
+                    for _ in range(math.gcd(len(ca), len(cg)))
                 )
-                got = sorted(
-                    (e for r in reports for e in r.profiles[mark]), reverse=True
-                )
-                assert got == expected
+                assert sorted(map(len, cycles_of(w))) == expected
 
     def test_disconnected_cover_accepted(self):
         # pullback needs covers, not connected ones: two sheets, two components
         quad = C2_COMPONENTS[2]
-        reports = pullback(quad, HurwitzCover(2))
-        assert [r.degree for r in reports] == [4, 4]
+        assert [degree for degree, _ in pullback(quad, HurwitzCover(2))] == [4, 4]
 
     def test_bad_product_rejected(self):
         # the malformed g never reaches pullback: its construction fails
@@ -350,11 +329,10 @@ class TestPullback:
     def test_mark_merge_with_extras(self):
         data = BranchData(n=5, x=(5,), y=(4, 1), z=(1, 1, 1, 1, 1), r=1)
         cover = search_tuples(data).covers[0]
-        reports = pullback(C2_COMPONENTS[0], cover)
-        assert len(reports) == 1
-        assert reports[0].degree == 10
-        assert reports[0].genus == 0
-        assert list(reports[0].profiles) == ["quarter256", "infinity", "zero", "b:extra1"]
+        assert pullback(C2_COMPONENTS[0], cover) == [(10, 0)]
+        generators = _pair_generators(C2_COMPONENTS[0], cover)
+        assert len(generators) == 4
+        assert generators[3] == [i * 5 + j for i in range(2) for j in cover.extras[0].images]
 
 
 def reference_orbits(degree, generators):
@@ -381,46 +359,27 @@ def reference_orbits(degree, generators):
 
 
 def reference_pullback(base_cover, g):
-    """The pullback as Permutation objects: pair actions, reference_orbits() and cycles().
+    """The pullback as Permutation objects: pair actions and reference_orbits().
 
-    Pairs (i, j) in {1..d} x {1..n} are numbered (i - 1) n + j.
+    Pairs (i, j) in {1..d} x {1..n} are numbered (i - 1) n + j.  One
+    (len(orbit), genus) per orbit, orbits in order of their least pair.
     """
     d, n = base_cover.degree, g.degree
 
     def pair_perm(pa, pb):
         return Permutation(a * n + b for a in pa.images for b in pb.images)
 
-    generators = {
-        mark: pair_perm(getattr(base_cover, mark), getattr(g, mark)) for mark in SPECIAL_MARKS
-    }
-    for mark, pa in zip(base_cover.marks[3:], base_cover.extras):
-        generators[f"a:{mark}"] = pair_perm(pa, Permutation.identity(n))
-    for mark, pb in zip(g.marks[3:], g.extras):
-        generators[f"b:{mark}"] = pair_perm(Permutation.identity(d), pb)
+    generators = [pair_perm(getattr(base_cover, mark), getattr(g, mark)) for mark in SPECIAL_MARKS]
+    generators += [pair_perm(pa, Permutation.identity(n)) for pa in base_cover.extras]
+    generators += [pair_perm(Permutation.identity(d), pb) for pb in g.extras]
 
-    pair_orbits = reference_orbits(d * n, generators.values())
+    pair_orbits = reference_orbits(d * n, generators)
     orbit_of = {p: i for i, orbit in enumerate(pair_orbits) for p in orbit}
-    lengths = [{mark: [] for mark in generators} for _ in pair_orbits]
-    for mark, perm in generators.items():
-        for cycle in perm.cycles(include_fixed=True):
-            lengths[orbit_of[cycle[0]]][mark].append(len(cycle))
-    components = []
-    for orbit, by_mark in zip(pair_orbits, lengths):
-        ram = sum(e - 1 for ls in by_mark.values() for e in ls)
-        components.append(
-            ComponentReport(
-                degree=len(orbit),
-                profiles={mark: tuple(sorted(ls, reverse=True)) for mark, ls in by_mark.items()},
-                genus=(ram - 2 * len(orbit) + 2) // 2,
-            )
-        )
-    components.sort(key=lambda c: (c.degree, sorted(c.profiles.items()), c.genus))
-    return components
-
-
-def report_items(reports):
-    """The reports with their profiles in mark order, which == on a dict ignores."""
-    return [(r.degree, list(r.profiles.items()), r.genus) for r in reports]
+    ramification = [0] * len(pair_orbits)
+    for perm in generators:
+        for cycle in cycles_of(perm.images):
+            ramification[orbit_of[cycle[0] + 1]] += len(cycle) - 1
+    return [(len(orbit), (ram - 2 * len(orbit) + 2) // 2) for orbit, ram in zip(pair_orbits, ramification)]
 
 
 def random_cover(rng, degree, base_extras):
@@ -463,19 +422,15 @@ class TestPullbackReference:
         assert len(covers) > 100
         for g in covers:
             for component in C2_COMPONENTS:
-                assert report_items(pullback(component, g)) == report_items(reference_pullback(component, g)), g
+                assert pullback(component, g) == reference_pullback(component, g), g
 
     def test_random_covers_with_extras_on_both_sides(self):
         rng = random.Random(20261019)
         for _ in range(200):
             a = random_cover(rng, rng.randint(1, 5), rng.randint(1, 3))
             g = random_cover(rng, rng.randint(1, 5), rng.randint(1, 3))
-            got = pullback(a, g)
-            assert report_items(got) == report_items(reference_pullback(a, g))
-            assert list(got[0].profiles)[3:] == [
-                *(f"a:{m}" for m in a.marks[3:]),
-                *(f"b:{m}" for m in g.marks[3:]),
-            ]
+            assert pullback(a, g) == reference_pullback(a, g)
+            assert len(_pair_generators(a, g)) == 3 + len(a.extras) + len(g.extras)
 
     def test_disconnected_covers(self):
         rng = random.Random(7)
@@ -485,13 +440,11 @@ class TestPullbackReference:
                            random_cover(rng, rng.randint(1, 3), rng.randint(0, 2)))
             assert validate(a) and validate(g)
             for base, cover in ((a, g), (g, a), (a, a)):
-                reports = pullback(base, cover)
-                assert len(reports) >= 2
-                assert report_items(reports) == report_items(reference_pullback(base, cover))
+                components = pullback(base, cover)
+                assert len(components) >= 2
+                assert components == reference_pullback(base, cover)
 
-
-class TestComponentGenera:
-    def test_equals_the_pullback_genera_on_random_covers(self):
+    def test_random_covers_up_to_degree_six(self):
         # degrees 2-6, extras on both sides, and every fourth pair disconnected
         rng = random.Random(20261020)
         for trial in range(300):
@@ -504,14 +457,13 @@ class TestComponentGenera:
                 g = direct_sum(random_cover(rng, rng.randint(1, 3), rng.randint(1, 2)), HurwitzCover(rng.randint(1, 3)))
                 assert validate(a) and validate(g)
             for base, cover in ((a, g), (g, a)):
-                got = component_genera(base, cover)
-                assert Counter(got) == Counter(r.genus for r in pullback(base, cover)), (base, cover)
+                assert pullback(base, cover) == reference_pullback(base, cover), (base, cover)
 
-    def test_fixed_curve_equals_the_pullback_reference_on_every_small_search(self, small_searches):
+    def test_fixed_curve_genera_on_every_small_search(self, small_searches):
         covers = [c for result in small_searches.values() for c in result.covers]
         assert len(covers) > 100
         for g in covers:
-            reference = sorted(r.genus for component in C2_COMPONENTS for r in pullback(component, g))
+            reference = sorted(genus for component in C2_COMPONENTS for _, genus in reference_pullback(component, g))
             assert hodge.fixed_curve(g) == tuple(reference), g
 
 

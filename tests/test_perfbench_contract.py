@@ -30,6 +30,20 @@ def test_tracing_installs_and_uninstalls():
     assert (kumfib.hodge.validate, kumfib.cli.main, kumfib.monodromy.track_loop) == originals
 
 
+def test_traced_fixed_curve_counts_its_pullbacks():
+    # the per-layer pullback metrics measure the fixed-curve work: one span
+    # per distinct fixed-curve component, 2 + 4 pulled-back components
+    g = kumfib.hurwitz.regular_deck_cover()
+    tracer = tracing.Tracer()
+    tracing.install(tracer, kumfib)
+    try:
+        kumfib.hodge.fixed_curve(g)
+    finally:
+        tracer.uninstall()
+    assert tracer.totals_ms()[2]["hurwitz.pullback"] == 2
+    assert tracer.counts["hurwitz.pullback.components"] == 6
+
+
 def test_caches_reset_and_catalog_checked():
     workloads.reset_caches(kumfib)
     workloads.check_catalog(kumfib)
