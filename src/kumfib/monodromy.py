@@ -11,15 +11,18 @@ single-valued polynomial
 a, b and d = lambda^3 being the family's parameter maps, read from the one
 instance family.LAMBDA_FAMILY.  The square-root branch flip around
 lambda = 0 is then absorbed by the coordinate, so every loop closes on the
-nose and the matching permutation is well defined.
+nose and the matching permutation is well defined.  Locally S splits as
+(C - lambda^{3/2})(C + lambda^{3/2}) with C = 4 xi^3 - 3 a xi - b: two
+cubics without a xi^2 term, whose root triples each sum to zero.
 
 Conventions (frozen; the source of the reference table does not state its
 own, so agreement below is asserted exactly only after a single documented
 relabeling):
 
   * base point lambda = -257/256; principal branch of lambda^{3/2} there;
-  * labels 1..3 are the roots with C = +lambda^{3/2} (the "P - 1" triple),
-    labels 4..6 the others, each triple sorted by (Re, Im) of x = xi/sqrt(lambda);
+  * labels 1..3 are the roots of the cubic C = +lambda^{3/2} (the "P - 1"
+    triple), labels 4..6 those of C = -lambda^{3/2}, each triple sorted by
+    (Re, Im) of x = xi/sqrt(lambda);
   * every loop goes out from the base point to the leftmost point c - r of
     a circle about its puncture c, once around the circle counterclockwise,
     and back along the way out reversed; r is half the distance to the
@@ -39,17 +42,21 @@ With these conventions the tracker computes (16)(25)(34), (12), (1526)(34);
 the single relabeling swapping labels 4 and 6 carries all three onto the
 pinned REFERENCE_TABLE values simultaneously (find_relabeling finds it).
 
-Arithmetic: mpmath's polyroots solves for the six base roots at
-BASE_PRECISION_BITS unless told otherwise (base_configuration is the one
-place the package imports mpmath), and Newton's method polishes them in
-double precision.  The loops are then tracked in Python complex arithmetic
-by a predictor-corrector that accepts a step only when no root moves more
-than a third of the previous minimum separation, refuses paths that bring
-two roots within a safety radius, and matches each root after the circle
-to a unique nearest root at the circle's edge.  A loop is a pure function
-of its spec and the precision of the base-point solve.  `kumfib monodromy` prints the table at the
-defaults; the precision and the initial step count stay parameters of the
-functions, which verify-paper's step-stability check and the tests vary.
+Arithmetic: mpmath's polyroots solves the two cubics for the two base
+triples at BASE_PRECISION_BITS unless told otherwise (base_configuration is
+the one place the package imports mpmath), and Newton's method on S
+polishes the six roots in double precision.  The loops are then tracked in
+Python complex arithmetic by a predictor-corrector that follows the two
+triples: it corrects four roots per step, labels 1, 2, 4 and 5, and gets
+the third root of each triple by Vieta as minus the sum of the other two.
+It accepts a step only when none of the six roots moves more than a third
+of the previous minimum separation, refuses paths that bring two roots
+within a safety radius, and matches each root after the circle to a unique
+nearest root at the circle's edge.  A loop is a pure function of its spec
+and the precision of the base-point solve.  `kumfib monodromy` prints the
+table at the defaults; the precision and the initial step count stay
+parameters of the functions, which verify-paper's step-stability check and
+the tests vary.
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
@@ -109,10 +117,10 @@ class LoopSpec:
 
 #: Newton's stopping rule, relative to |xi|: 10 bits short of double precision.
 NEWTON_TOL = 2.0**-43
-#: How far, relative to the root scale, a closed loop may end from a base root.
-#: A converged double-precision loop ends within about 1e-16; the roots lie
-#: at least a few thousandths apart, and the tolerance never exceeds a third
-#: of their separation.
+#: How far, relative to the root scale, a closed loop may end from a base root,
+#: and a root triple's sum from zero.  A converged double-precision loop ends
+#: within about 1e-16; the roots lie at least a few thousandths apart, and the
+#: tolerance never exceeds a third of their separation.
 CLOSURE_TOL = 2.0**-30
 
 
@@ -130,32 +138,36 @@ def _family_coeffs(lam):
     return _A1 * lam + _A0, _B1 * lam + _B0
 
 
-def _C(xi, a, b):
-    return ((4 * xi) * xi - 3 * a) * xi - b
+#: dC/dlambda = _DA xi - _B1 for C = 4 xi^3 - 3 a(lambda) xi - b(lambda).
+_DA = -3 * _A1
 
 
-def _predict(xi, lam, a, b, dlam):
-    """Euler's step xi - (S_lam / S_xi) dlam along the root of S(., lam) at xi."""
-    c2 = 2 * _C(xi, a, b)
-    # dC/dlambda = -3 a'(lambda) xi - b'(lambda); d'(lambda) = 3 lambda^2
-    s_lam = c2 * (-3 * _A1 * xi - _B1) - 3 * lam * lam
-    s_xi = c2 * (12 * xi * xi - 3 * a)
-    return xi - s_lam / s_xi * dlam
-
-
-def _newton(xi, lam, a, b):
-    """Newton's method for S(., lam) = C^2 - lam^3, starting at xi."""
+def _newton(starts, lam, a, b):
+    """Newton's method for S(., lam) = C^2 - lam^3 from each start, in order."""
+    a3 = 3 * a
     lam3 = lam**3
-    for _ in range(30):
-        c = _C(xi, a, b)
-        d = 2 * c * (12 * xi * xi - 3 * a)  # S_xi
-        if d == 0:
-            raise MonodromyError("vanishing derivative during correction")
-        step = (c * c - lam3) / d
-        xi = xi - step
-        if abs(step) <= NEWTON_TOL * (1 + abs(xi)):
-            return xi
-    raise MonodromyError("Newton corrector failed to converge")
+    roots = []
+    for xi in starts:
+        for _ in range(30):
+            c = ((4 * xi) * xi - a3) * xi - b
+            try:
+                step = (c * c - lam3) / (2 * c * (12 * xi * xi - a3))  # S / S_xi
+            except ZeroDivisionError:
+                raise MonodromyError("vanishing derivative during correction") from None
+            xi = xi - step
+            if abs(step) <= NEWTON_TOL * (1 + abs(xi)):
+                break
+        else:
+            raise MonodromyError("Newton corrector failed to converge")
+        roots.append(xi)
+    return roots
+
+
+def _check_triples(roots):
+    """Refuse six roots that are not two triples each summing to zero."""
+    scale = max(1, max(abs(x) for x in roots))
+    if max(abs(sum(roots[:3])), abs(sum(roots[3:]))) > CLOSURE_TOL * scale:
+        raise MonodromyError("roots not in label order: a triple does not sum to zero")
 
 
 _BASE_CACHE: dict[int, tuple[complex, ...]] = {}
@@ -164,56 +176,53 @@ _BASE_CACHE: dict[int, tuple[complex, ...]] = {}
 def base_configuration(precision_bits: int = BASE_PRECISION_BITS) -> tuple[complex, ...]:
     """The six xi-roots at BASE_POINT in label order (cached per precision).
 
-    Entry i is the root labeled i + 1.  Labels 1..3 are the roots with
-    C = +lambda^{3/2} (the "P - 1" triple), labels 4..6 the others, each
-    triple sorted by (Re, Im) of x = xi/sqrt(lambda).
+    Entry i is the root labeled i + 1.  Labels 1..3 are the roots of the
+    cubic C = +lambda^{3/2} (the "P - 1" triple), labels 4..6 those of
+    C = -lambda^{3/2}, each triple sorted by (Re, Im) of x = xi/sqrt(lambda).
 
-    mpmath's polyroots solves S(xi, BASE_POINT) = 0 at precision_bits; each
-    root is then polished by Newton's method in double precision, the
+    mpmath's polyroots solves the two cubics 4 xi^3 - 3 a xi - (b +- lambda^{3/2})
+    (coefficients from mpolar.fiber_cubic, principal branch of lambda^{3/2})
+    at precision_bits, so the labels come from the construction; each root
+    is then polished by Newton's method on S in double precision, the
     arithmetic the loops are tracked in, so a closed loop ends on roots as
     accurate as the ones it is matched against, whatever the precision of
     the solve.  A solve too coarse for Newton to polish (a step that fails
-    to converge, or lands nearer another root) raises CoarseSolveError.
+    to converge, or lands nearer another root, or a triple that no longer
+    sums to zero) raises CoarseSolveError.
     """
     if precision_bits in _BASE_CACHE:
         return _BASE_CACHE[precision_bits]
     import mpmath
 
-    a, b, d = (f(BASE_POINT) for f in _MAPS)
-    sextic = mpolar.fiber_cubic(a, b) ** 2 - d
+    cubic = mpolar.fiber_cubic(_FAMILY.a_of_lambda(BASE_POINT), _FAMILY.b_of_lambda(BASE_POINT))
     with mpmath.workprec(precision_bits):
-        solved = mpmath.polyroots(
-            [mpmath.mpf(c.numerator) / c.denominator for c in reversed(sextic.coeffs)],
-            maxsteps=200,
-            extraprec=precision_bits,
-        )
-        solved = [complex(xi) for xi in solved]
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(cubic.coeffs)]
+        s32 = mpmath.sqrt(mpmath.mpf(BASE_POINT.numerator) / BASE_POINT.denominator) ** 3
+        solved = [
+            complex(xi)
+            for shift in (s32, -s32)
+            for xi in mpmath.polyroots(
+                coeffs[:3] + [coeffs[3] - shift], maxsteps=200, extraprec=precision_bits
+            )
+        ]
     lam0 = complex(BASE_POINT)
-    a, b = _family_coeffs(lam0)
     coarse = CoarseSolveError(f"base-point roots at {precision_bits} bits too coarse to polish")
     try:
-        roots = [_newton(xi, lam0, a, b) for xi in solved]
+        roots = _newton(solved, lam0, *_family_coeffs(lam0))
+        _check_triples(roots)
     except MonodromyError:
         raise coarse from None
     separation = _min_pairwise(solved)
     if any(abs(p - xi) > separation / 3 for p, xi in zip(roots, solved)):
         raise coarse
     sqrt_lam = cmath.sqrt(lam0)
-    s32 = sqrt_lam**3
-    plus, minus = [], []
-    for xi in roots:
-        ratio = _C(xi, a, b) / s32
-        (plus if abs(ratio - 1) < abs(ratio + 1) else minus).append(xi)
-    if len(plus) != 3 or len(minus) != 3:
-        raise MonodromyError("triple split failed at the base point")
 
     def sort_key(xi):
         x = xi / sqrt_lam
         return (x.real, x.imag)
 
-    plus.sort(key=sort_key)
-    minus.sort(key=sort_key)
-    _BASE_CACHE[precision_bits] = tuple(plus + minus)
+    plus, minus = (sorted(triple, key=sort_key) for triple in (roots[:3], roots[3:]))
+    _BASE_CACHE[precision_bits] = (*plus, *minus)
     return _BASE_CACHE[precision_bits]
 
 
@@ -265,11 +274,22 @@ def _loop_pieces(spec: LoopSpec):
 
 
 def _min_pairwise(roots):
-    return min(abs(p - q) for p, q in itertools.combinations(roots, 2))
+    return min(map(abs, itertools.starmap(operator.sub, itertools.combinations(roots, 2))))
 
 
 def _track_pieces(pieces, roots, initial_steps, safety_radius):
-    """Continue the root list along the concatenated path pieces.
+    """Continue the six roots, given in label order, along the concatenated path pieces.
+
+    Label order means two triples, entries 0..2 and 3..5, each the roots of
+    one of the cubics C = +-lambda^{3/2}; neither cubic has a xi^2 term, so
+    each triple sums to zero.  Roots whose triples do not sum to zero
+    (relative to the root scale) are refused with MonodromyError, not
+    mislabeled.  Continuation keeps each triple the root set of one cubic,
+    so Euler's predictor and Newton's corrector run on entries 0, 1, 3 and
+    4 only, and entries 2 and 5 follow by Vieta as minus the sum of the
+    other two.  A step is accepted only when none of the six roots moves
+    more than a third of the previous minimum separation; a path that
+    brings two of them within safety_radius is refused.
 
     Every piece starts at max(initial_steps, 2) subdivisions (the maximum
     step size; one step around a full circle would end where it started).
@@ -277,6 +297,7 @@ def _track_pieces(pieces, roots, initial_steps, safety_radius):
     attempt is min(2 h, maximum), so steps shrink wherever the movement
     bound demands it and grow back from there.
     """
+    _check_triples(roots)
     roots = list(roots)
     for path in pieces:
         max_dt = 1 / max(initial_steps, 2)
@@ -294,40 +315,44 @@ def _track_pieces(pieces, roots, initial_steps, safety_radius):
                     "step budget exhausted while separations kept shrinking; "
                     "the path runs into a root degeneracy"
                 )
+            # Euler's step xi - (S_lam / S_xi) dlam; S_lam = 2 C dC/dlambda - 3 lambda^2
+            a3, lam_sq3 = 3 * a, 3 * lam * lam
+            tracked = (roots[0], roots[1], roots[3], roots[4])
+            slopes = []
+            for xi in tracked:
+                c2 = 2 * (((4 * xi) * xi - a3) * xi - b)
+                slopes.append((c2 * (_DA * xi - _B1) - lam_sq3) / (c2 * (12 * xi * xi - a3)))
+            bound = prev_min / 3
             step = min(dt, 1 - t)
             while True:
                 t2 = t + step
                 lam2 = path(t2)
                 a2, b2 = _family_coeffs(lam2)
                 dlam = lam2 - lam
-                candidate = []
-                ok = True
-                for xi in roots:
-                    try:
-                        cor = _newton(_predict(xi, lam, a, b, dlam), lam2, a2, b2)
-                    except MonodromyError:
-                        ok = False
+                try:
+                    x1, x2, x4, x5 = _newton(
+                        [xi - s * dlam for xi, s in zip(tracked, slopes)], lam2, a2, b2
+                    )
+                except MonodromyError:
+                    pass
+                else:
+                    candidate = [x1, x2, -(x1 + x2), x4, x5, -(x4 + x5)]
+                    if max(map(abs, map(operator.sub, candidate, roots))) <= bound:
                         break
-                    if abs(cor - xi) > prev_min / 3:
-                        ok = False
-                        break
-                    candidate.append(cor)
-                if ok:
-                    new_min = _min_pairwise(candidate)
-                    if new_min < safety_radius:
-                        raise MonodromyError(
-                            f"roots within {new_min:.5g} near lambda = "
-                            f"{lam2:.8g}; radius too large or degenerate family"
-                        )
-                    roots = candidate
-                    t, lam, a, b = t2, lam2, a2, b2
-                    prev_min = new_min
-                    dt = min(step * 2, max_dt)
-                    accepted += 1
-                    break
                 step = step / 2
                 if step < dt_floor:
                     raise MonodromyError("step size underflowed during tracking")
+            new_min = _min_pairwise(candidate)
+            if new_min < safety_radius:
+                raise MonodromyError(
+                    f"roots within {new_min:.5g} near lambda = "
+                    f"{lam2:.8g}; radius too large or degenerate family"
+                )
+            roots = candidate
+            t, lam, a, b = t2, lam2, a2, b2
+            prev_min = new_min
+            dt = min(step * 2, max_dt)
+            accepted += 1
     return roots
 
 

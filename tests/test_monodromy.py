@@ -73,6 +73,28 @@ class TestBaseConfiguration:
                 keys = [(mpmath.re(x), mpmath.im(x)) for x in block]
                 assert keys == sorted(keys)
 
+    def test_triples_sum_to_zero_and_labels_are_pinned(self):
+        # each cubic has no xi^2 term; the six roots, in label order, are the
+        # 128-bit oracle roots nearest these five-digit values
+        roots = base_configuration(128)
+        scale = max(abs(x) for x in roots)
+        assert abs(sum(roots[:3])) < 1e-14 * scale
+        assert abs(sum(roots[3:])) < 1e-14 * scale
+        pinned = [
+            0.16172 - 0.67249j,
+            -0.20338 - 0.32946j,
+            0.04167 + 1.00195j,
+            0.04167 - 1.00195j,
+            -0.20338 + 0.32946j,
+            0.16172 + 0.67249j,
+        ]
+        oracle = _oracle_roots(complex(monodromy.BASE_POINT))
+        with mpmath.workprec(128):
+            for xi, approx in zip(roots, pinned):
+                root = min(oracle, key=lambda r: abs(r - approx))
+                assert abs(root - approx) < 1e-4
+                assert abs(mpmath.mpc(xi) - root) < 1e-15
+
 
 class TestLoops:
     def test_trivial_loop_is_identity(self):
@@ -88,6 +110,14 @@ class TestLoops:
         safety = 1e-10
         final = monodromy._track_pieces(pieces, roots, 64, safety)
         assert monodromy._match(final, roots).is_identity
+
+    def test_roots_out_of_label_order_refused(self):
+        # swapping labels 3 and 4 breaks both triples: neither sums to zero
+        roots = list(base_configuration(128))
+        roots[2], roots[3] = roots[3], roots[2]
+        out, _ = monodromy._loop_pieces(LoopSpec(center=F(0), initial_steps=64))
+        with pytest.raises(monodromy.MonodromyError, match="label order"):
+            monodromy._track_pieces([out], roots, 64, _safety(roots))
 
     def test_non_puncture_center_rejected(self):
         spec = LoopSpec(center=F(-257, 256), initial_steps=64)
@@ -137,6 +167,12 @@ class TestLoops:
         reference = tables[256].as_dict()
         for steps in verification.STEP_SCALES:
             assert tables[steps].as_dict() == reference
+
+    @pytest.mark.parametrize("bits", [16, 128])
+    @pytest.mark.parametrize("steps", [1, 2, 8, 16, 32, 64, 128, 256, 512, 1024])
+    def test_one_table_at_every_step_count_and_precision(self, tables, steps, bits):
+        table = monodromy.puncture_table(precision_bits=bits, initial_steps=steps)
+        assert table.as_dict() == tables[256].as_dict()
 
     def test_reference_match_after_single_relabeling(self, tables):
         rho = monodromy.find_relabeling(tables[256])
@@ -243,6 +279,30 @@ class TestStepController:
                 assert nxt - t <= min(2 * h, max_dt) + 1e-12, (prev, t, nxt)
                 prev, short = t, short + (h < max_dt / 2)
         assert short  # the bound bites: some accepted steps are short
+
+    @pytest.mark.parametrize(
+        "steps, counts",
+        [
+            (64, {"zero": (186, 513), "quarter256": (278, 217), "infinity": (65, 65)}),
+            (256, {"zero": (356, 257), "quarter256": (444, 257), "infinity": (257, 257)}),
+        ],
+    )
+    def test_path_evaluations_per_piece(self, steps, counts):
+        # (way out, circle): one evaluation at t = 0 and one per attempted step
+        safety = _safety(base_configuration(128))
+        centers = {"zero": F(0), "quarter256": F(1, 256), "infinity": monodromy.INFINITY}
+        for mark, center in centers.items():
+            roots, evaluations = base_configuration(128), []
+            for piece in monodromy._loop_pieces(LoopSpec(center=center, initial_steps=steps)):
+                requested = []
+
+                def recording(t, piece=piece, requested=requested):
+                    requested.append(t)
+                    return piece(t)
+
+                roots = monodromy._track_pieces([recording], roots, steps, safety)
+                evaluations.append(len(requested))
+            assert tuple(evaluations) == counts[mark], mark
 
 
 def _oracle_roots(lam):
