@@ -133,10 +133,13 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self == Polynomial((other,))
+            return self.coeffs == ((other,) if other else ())
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its value (see __eq__), so it hashes like it
+        if self.degree <= 0:
+            return hash(self.coeffs[0]) if self.coeffs else 0
         return hash(("poly", self.coeffs))
 
     # -- ring operations ---------------------------------------------------
@@ -523,7 +526,7 @@ class Place:
     def finite(poly: Polynomial) -> "Place":
         """The place of an irreducible polynomial; a reducible one is refused."""
         place = Place(poly)
-        if not _is_irreducible(place.minimal_polynomial):
+        if irreducible_factors(place.minimal_polynomial) != [(place, 1)]:
             raise ExactAlgebraError(
                 f"minimal polynomial {place.minimal_polynomial!r} is reducible over Q"
             )
@@ -581,13 +584,6 @@ def _to_sympy(p: Polynomial):
 def _from_sympy(sp) -> Polynomial:
     cs = [Fraction(c.p, c.q) for c in reversed(sp.all_coeffs())]
     return Polynomial(cs)
-
-
-def _is_irreducible(p: Polynomial) -> bool:
-    if p.degree == 1:
-        return True
-    _, factors = _to_sympy(p).factor_list()
-    return len(factors) == 1 and factors[0][1] == 1
 
 
 def irreducible_factors(p: Polynomial) -> list[tuple[Place, int]]:

@@ -58,9 +58,6 @@ class InternalError(RuntimeError):
 #: New divisor classes contributed over infinity by ramification order.
 C_BY_Y = {1: 19, 2: 8, 4: 0}
 
-#: Component counts of the fiber over infinity by ramification order.
-COMPONENTS_BY_Y = {1: 20, 2: 9, 4: 1, 8: 1}
-
 #: Multiplicity profiles (multiplicity, how many components) by ramification order.
 MULTIPLICITIES_BY_Y = {
     1: ((4, 1), (3, 2), (2, 7), (1, 10)),
@@ -68,6 +65,9 @@ MULTIPLICITIES_BY_Y = {
     4: ((1, 1),),
     8: ((1, 1),),
 }
+
+#: Component counts of the fiber over infinity by ramification order: 20, 9, 1, 1.
+COMPONENTS_BY_Y = {y: sum(count for _, count in profile) for y, profile in MULTIPLICITIES_BY_Y.items()}
 
 
 #: Infinity profiles y of Calabi-Yau branch data: two points of order 1, 2

@@ -19,7 +19,10 @@ printed components (two double covers branched over {0, infinity} and one
 four-fold cover with profiles [2,1,1]/[2,2]/[4] over 1/256, 0, infinity).
 One routine, `pullback`, gives the degree and genus of each component of
 the normalized fiber product of two covers, read from the orbits and cycles
-of the pair action.
+of the pair action.  The degree-8 regular cover of the worked example is
+built on the deck group as family lists it: its fiber points are the eight
+elements of family.all_deck_elements(), and the reference loops act on
+them by left multiplication.
 
 MAX_SEARCH_DEGREE, the package's one degree bound, lives here because hodge,
 cli and verification all import this module.
@@ -32,13 +35,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import family
 from .monodromy import REFERENCE_TABLE
 from .permutations import (
     Permutation,
     compose_all,
     cycles_of,
     exact_ints,
-    group_closure,
     is_transitive,
     orbit_labels,
 )
@@ -266,19 +269,20 @@ C2_COMPONENTS = (
 def regular_deck_cover() -> HurwitzCover:
     """The degree-8 regular cover attached to the monodromy group.
 
-    Fiber points are the elements of the group generated by the reference
-    loop permutations; each loop acts by left multiplication.  Its branch
-    data is (k, l, m, n, r) = (4, 2, 4, 8, 0) with x = z = [2,2,2,2] and
-    y = [4,4].
+    Fiber points are the eight deck elements alpha^i beta^j of
+    family.all_deck_elements(), read by their label permutations; each
+    reference loop acts by left multiplication.  A product that leaves the
+    eight raises HurwitzError.  Its branch data is (k, l, m, n, r) =
+    (4, 2, 4, 8, 0) with x = z = [2,2,2,2] and y = [4,4].
     """
-    gens = [REFERENCE_TABLE["zero"], REFERENCE_TABLE["quarter256"]]
-    elements = group_closure(gens)
-    if len(elements) != 8:
-        raise HurwitzError(f"deck group has order {len(elements)}, expected 8")
+    elements = [g.label_perm for g in family.all_deck_elements()]
     index = {e: i for i, e in enumerate(elements)}
 
     def left_mult(gamma: Permutation) -> Permutation:
-        return Permutation(index[gamma * e] for e in elements)
+        try:
+            return Permutation(index[gamma * e] for e in elements)
+        except KeyError:
+            raise HurwitzError(f"loop {gamma.cycle_string()} is not in the deck group") from None
 
     return HurwitzCover(8, **{mark: left_mult(g) for mark, g in REFERENCE_TABLE.items()})
 

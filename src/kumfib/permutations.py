@@ -199,32 +199,3 @@ def orbit_labels(size: int, image_lists) -> tuple[list[int], list[int]]:
 def is_transitive(degree: int, generators) -> bool:
     """Whether <generators> has one orbit on {1..degree}."""
     return orbit_labels(degree, [g.images for g in generators])[1] == [degree]
-
-
-def group_closure(generators, limit: int = 100000) -> list[Permutation]:
-    """All elements of the group generated by the given permutations.
-
-    Deterministic order: breadth-first from the identity, multiplying by the
-    generators in their given order.  Raises if the group exceeds limit.
-    """
-    gens = list(generators)
-    if not gens:
-        raise PermutationError("need at least one generator")
-    n = gens[0].degree
-    identity = Permutation.identity(n)
-    elements = [identity]
-    index = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gens:
-                e = g * h
-                if e not in index:
-                    index[e] = len(elements)
-                    elements.append(e)
-                    nxt.append(e)
-                    if len(elements) > limit:
-                        raise PermutationError("group closure exceeded limit")
-        frontier = nxt
-    return elements

@@ -34,7 +34,7 @@ from typing import Callable
 
 from . import family, hodge, hurwitz, kodaira, monodromy, mpolar
 from .exact import Place, Polynomial, RationalFunction, compose, order_at
-from .permutations import Permutation, compose_all, group_closure
+from .permutations import Permutation, compose_all
 
 _F = Fraction
 
@@ -232,7 +232,7 @@ def _check_deck_group():
             ),
             (alpha.label_perm, beta.label_perm),
         ),
-        "label group order": (8, len(group_closure([alpha.label_perm, beta.label_perm]))),
+        "label group order": (8, len({g.label_perm for g in elements})),
     })
 
 

@@ -65,6 +65,20 @@ class TestPolynomial:
         assert type(two.constant_value()) is F
         assert {Place(Polynomial((F(-1), 1))): "one"}[Place.at(1)] == "one"
 
+    def test_constant_hashes_as_the_number_it_equals(self, monkeypatch):
+        two, half, zero, x = Polynomial((2,)), Polynomial((F(1, 2),)), Polynomial(()), Polynomial.x()
+        assert {two} == {F(2)} and 2 in {two}
+        assert {half} == {F(1, 2)} and hash(half) == hash(F(1, 2))
+        assert hash(zero) == 0 and 0 in {zero} and {zero} == {F(0)}
+
+        def refuse(self, coeffs=()):
+            raise AssertionError("a Polynomial was built to compare with a number")
+
+        # a number is compared with the coefficients as they are
+        monkeypatch.setattr(Polynomial, "__init__", refuse)
+        assert two == 2 and two == F(2) and half == F(1, 2) and zero == 0
+        assert two != 3 and half != 0 and zero != 1 and x != 0 and x != 1
+
     def test_divmod(self):
         p = Polynomial((-1, 0, 1))  # x^2 - 1
         q, r = divmod(p, Polynomial((-1, 1)))  # x - 1
@@ -405,6 +419,12 @@ class TestPlacesAndOrders:
     def test_place_requires_irreducible(self):
         with pytest.raises(ExactAlgebraError):
             Place.finite(Polynomial((-1, 0, 1)))  # x^2 - 1 splits
+
+    def test_place_refuses_a_square_and_takes_a_line(self):
+        # one factor of multiplicity 2 is not irreducible; a line always is
+        with pytest.raises(ExactAlgebraError, match="reducible"):
+            Place.finite(Polynomial((1, 0, 1)) ** 2)  # (x^2 + 1)^2
+        assert Place.finite(Polynomial((3, 2))) == Place.at(F(-3, 2))
 
     def test_place_is_its_polynomial(self):
         assert Place.at(0) == Place(Polynomial((0, 2)))  # normalised to monic x

@@ -252,6 +252,12 @@ class TestBranchData:
         b = branch_data_of(regular_deck_cover())
         assert (b.n, b.x, b.y, b.z, b.r) == (8, (2, 2, 2, 2), (4, 4), (2, 2, 2, 2), 0)
 
+    def test_regular_cover_refuses_a_loop_outside_the_deck_group(self, monkeypatch):
+        # (1 3) times a deck element is no deck element: no point to send it to
+        monkeypatch.setattr(hurwitz, "REFERENCE_TABLE", {**REFERENCE_TABLE, "quarter256": perm(6, (1, 3))})
+        with pytest.raises(HurwitzError, match=r"\(1 3\) is not in the deck group"):
+            regular_deck_cover()
+
 
 class TestPartitions:
     def test_counts_up_to_the_bound(self):

@@ -11,9 +11,9 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from kumfib import cli, family, monodromy, verification
+from kumfib import cli, family, hurwitz, monodromy, verification
 from kumfib.monodromy import LoopSpec, base_configuration, deck_parity, track_loop
-from kumfib.permutations import Permutation, group_closure, orbit_labels
+from kumfib.permutations import Permutation, is_transitive, orbit_labels
 
 
 @pytest.fixture(scope="module")
@@ -204,10 +204,16 @@ class TestLoops:
             for perm in tables[256].as_dict().values():
                 assert perm.conjugate_by(rho).cycle_type() == perm.cycle_type()
 
-    def test_generated_group(self, tables):
+    def test_generated_group(self, tables, monkeypatch):
+        # relabeled, the tracked loops act on the eight deck elements by left
+        # multiplication (a loop outside them raises); that cover is
+        # connected, so the loops generate a group of order 8, the deck group
         t = tables[256]
-        group = group_closure([t.around_zero, t.around_quarter256])
-        assert len(group) == 8  # dihedral, matching the deck group
+        rho = monodromy.find_relabeling(t)
+        relabeled = {mark: p.conjugate_by(rho) for mark, p in t.as_dict().items()}
+        monkeypatch.setattr(hurwitz, "REFERENCE_TABLE", relabeled)
+        cover = hurwitz.regular_deck_cover()
+        assert is_transitive(8, [cover.zero, cover.quarter256])
         sizes = orbit_labels(6, [t.around_zero.images, t.around_quarter256.images])[1]
         assert sorted(sizes) == [2, 4]  # not transitive
 
@@ -279,6 +285,32 @@ class TestStepController:
                 assert nxt - t <= min(2 * h, max_dt) + 1e-12, (prev, t, nxt)
                 prev, short = t, short + (h < max_dt / 2)
         assert short  # the bound bites: some accepted steps are short
+
+    def test_movement_bound_covers_the_vieta_roots(self, monkeypatch):
+        # one attempt corrects roots 1 and 2 to 0.6 of the bound away, in the
+        # same direction, and roots 4 and 5 in place: root 3, minus their
+        # sum, moves 1.2 of the bound, so the attempt is refused and the
+        # step halved
+        steps = 64
+        roots = base_configuration(128)
+        shift = 0.6 * monodromy._min_pairwise(roots) / 3
+        base = float(monodromy.BASE_POINT)
+        path = monodromy._segment(base, base + 1 / 1024)
+        newton, attempts = monodromy._newton, []
+
+        def first_attempt_moved(starts, lam, a, b):
+            attempts.append(lam)
+            if len(attempts) == 1:
+                return [roots[0] + shift, roots[1] + shift, roots[3], roots[4]]
+            return newton(starts, lam, a, b)
+
+        monkeypatch.setattr(monodromy, "_newton", first_attempt_moved)
+        final = monodromy._track_pieces([path], roots, steps, _safety(roots))
+        first, second = (lam - base for lam in attempts[:2])
+        assert first == pytest.approx(1 / 1024 / steps) and second == pytest.approx(first / 2)
+        monkeypatch.setattr(monodromy, "_newton", newton)
+        unpatched = monodromy._track_pieces([path], roots, steps, _safety(roots))
+        assert max(map(abs, map(complex.__sub__, final, unpatched))) < 1e-12
 
     @pytest.mark.parametrize(
         "steps, counts",
