@@ -376,8 +376,9 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self.is_constant:
-            return hash(self.constant_value())
+        # with denominator 1 it equals its numerator (see __eq__), so it hashes like it
+        if self.den.degree == 0:
+            return hash(self.num)
         return hash(("rf", self.num.coeffs, self.den.coeffs))
 
     # -- field operations ----------------------------------------------------

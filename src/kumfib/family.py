@@ -1,11 +1,12 @@
 """The one-parameter modular family, its cover tower, and the Kummer model.
 
 Everything concrete lives here: the weight-(2,3,6) parameter maps
-a(lambda), b(lambda), d(lambda) of the family, the closed forms of
-sigma(lambda) and pi(lambda), the chain of double covers whose composite is
-the eightfold cover lambda(nu) = (1/16) nu^2 (1-nu^2)^2 / (1+nu^2)^4 with
-dihedral deck group, the two rational elliptic surfaces whose fiber product
-underlies the construction, and the affine Kummer hypersurface
+a(lambda), b(lambda), d(lambda) of the family, with sigma(lambda) and
+pi(lambda) computed from them (LambdaFamily), the chain of double covers
+whose composite is the eightfold cover
+lambda(nu) = (1/16) nu^2 (1-nu^2)^2 / (1+nu^2)^4 with dihedral deck group,
+the two rational elliptic surfaces whose fiber product underlies the
+construction, and the affine Kummer hypersurface
 
     u^2 = s(s-1)(s - ((nu+1)/(nu-1))^2) * t(t-1)(t - nu^2)
 
@@ -19,11 +20,11 @@ f2 o f3) with all arithmetic over Q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal
 
-from . import kodaira
+from . import kodaira, mpolar
 from .exact import PoleError, Polynomial, RationalFunction, compose, rational_sqrt
 from .permutations import Permutation
 
@@ -33,23 +34,31 @@ _F = Fraction
 
 @dataclass(frozen=True)
 class LambdaFamily:
-    """Parameter maps of the family as exact rational functions of lambda."""
+    """Parameter maps of the family as exact rational functions of lambda.
+
+    The family is its weighted parameters a, b, d.  sigma = (a^3 - b^2 + d)/d
+    and pi = a^3/d follow from them, as mpolar.sigma_pi of (a, b) with d
+    restored, and are computed once, when the family is built.
+    """
 
     a_of_lambda: RationalFunction
     b_of_lambda: RationalFunction
     d_of_lambda: RationalFunction
-    sigma_of_lambda: RationalFunction
-    pi_of_lambda: RationalFunction
+    sigma_of_lambda: RationalFunction = field(init=False)
+    pi_of_lambda: RationalFunction = field(init=False)
+
+    def __post_init__(self):
+        d = self.d_of_lambda
+        sp = mpolar.sigma_pi(self.a_of_lambda, self.b_of_lambda)  # their d = 1 forms
+        object.__setattr__(self, "sigma_of_lambda", (sp.sigma - 1 + d) / d)
+        object.__setattr__(self, "pi_of_lambda", sp.pi / d)
 
 
 #: The family's parameter maps, built once at import (the variable is lambda).
-#: sigma = 2 - 23/(192 lam) + 1/(1728 lam^2), pi = (1 + 1/(144 lam))^3.
 LAMBDA_FAMILY = LambdaFamily(
     a_of_lambda=_NU + _F(1, 144),
     b_of_lambda=_F(3, 8) * _NU - _F(1, 1728),
     d_of_lambda=_NU**3,
-    sigma_of_lambda=RationalFunction.of((1, -207, 3456), (0, 0, 1728)),
-    pi_of_lambda=(1 + RationalFunction.of((1,), (0, 144))) ** 3,
 )
 
 

@@ -41,6 +41,7 @@ from .hurwitz import (
     InvalidCoverError,
     SearchResult,
     branch_data_of,
+    check_budget,
     pullback,
     search_tuples,
     validate,
@@ -305,7 +306,10 @@ def analyze_branch_data(
     least genera tuple found for it, so the records of a search do not depend
     on the order in which it finds its tuples.  When no tuple realizes the
     data, a single report with the inventory (and no curve data) is returned.
+    A `limit` or a `max_candidates` below 1 is refused on every datum
+    (`check_budget`).
     """
+    check_budget(limit, max_candidates)
     if b.admits_rational_cover() and not cy_condition(b):
         return [_report(b, unsupported=_NOT_CY)]
     result: SearchResult = search_tuples(b, limit=limit, max_candidates=max_candidates)

@@ -19,10 +19,11 @@ printed components (two double covers branched over {0, infinity} and one
 four-fold cover with profiles [2,1,1]/[2,2]/[4] over 1/256, 0, infinity).
 One routine, `pullback`, gives the degree and genus of each component of
 the normalized fiber product of two covers, read from the orbits and cycles
-of the pair action.  The degree-8 regular cover of the worked example is
-built on the deck group as family lists it: its fiber points are the eight
-elements of family.all_deck_elements(), and the reference loops act on
-them by left multiplication.
+of the pair action; the genus of a connected cover is that of the one
+component of its pullback along the trivial cover.  The degree-8 regular
+cover of the worked example is built on the deck group as family lists it:
+its fiber points are the eight elements of family.all_deck_elements(), and
+the reference loops act on them by left multiplication.
 
 MAX_SEARCH_DEGREE, the package's one degree bound, lives here because hodge,
 cli and verification all import this module.
@@ -109,17 +110,15 @@ def validate(cover: HurwitzCover) -> list[str]:
 
 
 def genus(cover: HurwitzCover) -> int:
-    """Genus of the connected cover, by Riemann-Hurwitz over a rational base."""
-    problems = validate(cover)
-    if problems:
-        raise HurwitzError("; ".join(problems))
-    two_g = branch_data_of(cover).total_ramification() - 2 * cover.degree + 2
-    if two_g % 2:
-        raise HurwitzError("Riemann-Hurwitz parity violated")  # impossible with id product
-    g = two_g // 2
-    if g < 0:
-        raise HurwitzError(f"negative genus {g} from inconsistent data")
-    return g
+    """Genus of the connected cover: its one component in `pullback` along the trivial cover.
+
+    A disconnected cover, having more than one component, raises
+    HurwitzError with validate's message.
+    """
+    components = pullback(HurwitzCover(1), cover)
+    if len(components) > 1:
+        raise HurwitzError("; ".join(validate(cover)))
+    return components[0][1]
 
 
 # -- branch data ----------------------------------------------------------------
@@ -385,6 +384,14 @@ SEARCH_LIMIT = 16
 MAX_CANDIDATES = 2_000_000
 
 
+def check_budget(limit: int, max_candidates: int) -> None:
+    """Refuse, with HurwitzError, a search `limit` or `max_candidates` below 1."""
+    if limit < 1:
+        raise HurwitzError(f"search limit must be at least 1, got {limit}")
+    if max_candidates < 1:
+        raise HurwitzError(f"candidate budget must be at least 1, got {max_candidates}")
+
+
 def search_tuples(
     b: BranchData, limit: int = SEARCH_LIMIT, max_candidates: int = MAX_CANDIDATES
 ) -> SearchResult:
@@ -425,12 +432,9 @@ def search_tuples(
     tuples, even if none is left to find, or when a candidate past
     `max_candidates` would be examined, i.e. exactly when the
     P^r |class| candidates (P transpositions) exceed `max_candidates`.
-    A `limit` or a `max_candidates` below 1 is refused with HurwitzError.
+    A `limit` or a `max_candidates` below 1 is refused (`check_budget`).
     """
-    if limit < 1:
-        raise HurwitzError(f"search limit must be at least 1, got {limit}")
-    if max_candidates < 1:
-        raise HurwitzError(f"candidate budget must be at least 1, got {max_candidates}")
+    check_budget(limit, max_candidates)
     if not b.admits_rational_cover():
         return SearchResult(covers=(), truncated=False)
     if b.n > MAX_SEARCH_DEGREE:

@@ -48,16 +48,12 @@ class WeierstrassFamily:
     a6: RationalFunction
 
     def __post_init__(self):
-        def lift(v):
-            if isinstance(v, RationalFunction):
-                return v
-            if isinstance(v, Polynomial):
-                return RationalFunction(v)
-            return RationalFunction(Polynomial((Fraction(v),)))
-
-        object.__setattr__(self, "a2", lift(self.a2))
-        object.__setattr__(self, "a4", lift(self.a4))
-        object.__setattr__(self, "a6", lift(self.a6))
+        for name in ("a2", "a4", "a6"):
+            v = getattr(self, name)
+            if not isinstance(v, RationalFunction):
+                # a Polynomial as it is, a number (a float too) exactly as a Fraction
+                v = RationalFunction(v if isinstance(v, Polynomial) else Fraction(v))
+                object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True)

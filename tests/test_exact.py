@@ -120,6 +120,14 @@ class TestRationalFunction:
         f = (X + 1) / (X - 1)
         assert (f - 1) * (X - 1) == rf((2,))
 
+    def test_hashes_as_the_polynomial_or_number_it_equals(self):
+        assert Polynomial.x() == RationalFunction.x() and len({Polynomial.x(), RationalFunction.x()}) == 1
+        square = RationalFunction.of((1, 0, 3))
+        keyed = {square: "square", RationalFunction.constant(F(5, 2)): "constant", RationalFunction.of((0,)): "zero"}
+        assert keyed[Polynomial((1, 0, 3))] == "square"
+        assert keyed[F(5, 2)] == "constant" and keyed[0] == "zero"
+        assert {RationalFunction.constant(3): "three"}[3] == "three"
+
     def test_constant_value_and_evaluation_over_q_of_a(self):
         # coefficients in Q(a), the tower delta-factorization builds: values are Q(a) elements
         assert RationalFunction(Polynomial((X,))).constant_value() == X

@@ -21,6 +21,12 @@ class TestParameterMaps:
         maps = (fam.a_of_lambda, fam.b_of_lambda, fam.d_of_lambda)
         assert all(m is f for m, f in zip(monodromy._MAPS, maps, strict=True))
 
+    def test_printed_closed_forms(self):
+        # sigma = 2 - 23/(192 lam) + 1/(1728 lam^2), pi = (1 + 1/(144 lam))^3
+        fam = family.LAMBDA_FAMILY
+        assert fam.sigma_of_lambda == RationalFunction.of((1, -207, 3456), (0, 0, 1728))
+        assert fam.pi_of_lambda == (1 + RationalFunction.of((1,), (0, 144))) ** 3
+
     def test_closed_forms_match_normalized_invariants(self):
         fam = family.LAMBDA_FAMILY
         lam = NU

@@ -200,8 +200,19 @@ class TestGenus:
 
     def test_disconnected_rejected(self):
         cover = HurwitzCover(4, infinity=perm(4, (1, 2)), zero=perm(4, (1, 2)))
-        with pytest.raises(HurwitzError):
+        with pytest.raises(HurwitzError, match=r"^monodromy group is not transitive \(cover is disconnected\)$"):
             genus(cover)
+
+    def test_riemann_hurwitz_on_random_connected_covers(self):
+        # the branch-data formula as the oracle: 2g - 2 = -2n + total ramification
+        rng = random.Random(20261020)
+        checked = 0
+        while checked < 200:
+            cover = random_cover(rng, rng.randint(1, 7), rng.randint(0, 3))
+            if validate(cover):
+                continue
+            assert genus(cover) == (branch_data_of(cover).total_ramification() - 2 * cover.degree + 2) // 2
+            checked += 1
 
 
 class TestBranchData:
@@ -541,16 +552,16 @@ class TestSearchTuples:
         [
             BranchData(n=5, x=(5,), y=(4, 1), z=(1, 1, 1, 1, 1), r=1),
             BranchData(n=2, x=(2,), y=(2,), z=(2,), r=0),
+            BranchData(n=3, x=(3,), y=(3,), z=(1, 1, 1), r=0),
         ],
-        ids=["quintic", "no-rational-cover"],
+        ids=["quintic", "no-rational-cover", "not-calabi-yau"],
     )
     def test_limit_below_one_refused(self, data, limit):
         # refused before any work, even where no search would run
         with pytest.raises(HurwitzError, match=f"search limit must be at least 1, got {limit}"):
             search_tuples(data, limit=limit)
-        if data.admits_rational_cover():
-            with pytest.raises(HurwitzError, match=f"got {limit}"):
-                hodge.analyze_branch_data(data, limit=limit)
+        with pytest.raises(HurwitzError, match=f"search limit must be at least 1, got {limit}"):
+            hodge.analyze_branch_data(data, limit=limit)
 
     @pytest.mark.parametrize("budget", [0, -5])
     @pytest.mark.parametrize(
@@ -558,16 +569,16 @@ class TestSearchTuples:
         [
             BranchData(n=5, x=(5,), y=(4, 1), z=(1, 1, 1, 1, 1), r=1),
             BranchData(n=2, x=(2,), y=(2,), z=(2,), r=0),
+            BranchData(n=3, x=(3,), y=(3,), z=(1, 1, 1), r=0),
         ],
-        ids=["quintic", "no-rational-cover"],
+        ids=["quintic", "no-rational-cover", "not-calabi-yau"],
     )
     def test_candidate_budget_below_one_refused(self, data, budget):
         # as the limit: refused before any work, not a silently truncated empty result
         with pytest.raises(HurwitzError, match=f"candidate budget must be at least 1, got {budget}"):
             search_tuples(data, max_candidates=budget)
-        if data.admits_rational_cover():
-            with pytest.raises(HurwitzError, match=f"got {budget}"):
-                hodge.analyze_branch_data(data, max_candidates=budget)
+        with pytest.raises(HurwitzError, match=f"candidate budget must be at least 1, got {budget}"):
+            hodge.analyze_branch_data(data, max_candidates=budget)
 
 
 #: Per datum, the candidates made so far and the iterator that makes the

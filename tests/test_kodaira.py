@@ -29,6 +29,14 @@ NU = RationalFunction.x()
 
 
 class TestCInvariants:
+    def test_coefficients_promoted_into_q_nu(self):
+        # a RationalFunction is kept, a Polynomial lifted, a number made exact
+        w = WeierstrassFamily(a2=NU, a4=Polynomial((1, 2)), a6=0.1)
+        assert w.a2 is NU
+        assert [type(v) for v in (w.a2, w.a4, w.a6)] == [RationalFunction] * 3
+        assert w.a4 == RationalFunction.of((1, 2)) and w.a6 == F(0.1) and w.a6.num.coeffs == (F(0.1),)
+        assert WeierstrassFamily(a2=F(1, 2), a4=3, a6=0).a2.num.coeffs == (F(1, 2),)
+
     def test_e1_c4(self):
         c4, c6, delta = c_invariants(family.e1_model())
         assert c4 == 16 * (1 + NU**2) ** 2 - 48 * NU**2
