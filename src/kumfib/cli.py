@@ -44,9 +44,11 @@ cycles (whitespace/commas both fine)
                "quarter256": "(1 3)", "infinity": "(1 4 3 2)", "zero": "(1 2)(3 4)",
                "extras": []}}
 
-with optional {"options": ...}.  Both kinds take "output_format": "text" |
-"jsonl" | "both".  Only branch data takes the search limits "search_limit"
-and "max_candidates" (ints), because only Calabi-Yau branch data is ever
+with optional {"options": ...}.  An omitted mark is the identity; a null
+one, or a null extra, is refused (exit 2), since only a cycle string is a
+permutation.  Both kinds take "output_format": "text" | "jsonl" | "both".
+Only branch data takes the search limits "search_limit" and
+"max_candidates" (ints), because only Calabi-Yau branch data is ever
 searched; a cover is analyzed as given.  Every object of a document is
 checked for unknown fields, so a misspelt field is refused (exit 2, one
 `invalid document: <path>: unknown fields [...]` line), never ignored.
@@ -133,8 +135,6 @@ def parse_cover(obj, path: str = "cover") -> HurwitzCover:
     _within_cy_degree(degree, "cover")  # before any permutation of that degree is built
 
     def perm(field: str, text) -> Permutation:
-        if text is None:
-            return Permutation.identity(degree)
         if not isinstance(text, str):
             raise DocumentError(f"{path}.{field}", f"expected a cycle string, got {text!r}")
         try:
@@ -146,7 +146,7 @@ def parse_cover(obj, path: str = "cover") -> HurwitzCover:
     if not isinstance(extras_obj, list):
         raise DocumentError(f"{path}.extras", "expected a list of cycle strings")
     extras = tuple(perm(f"extras[{i}]", text) for i, text in enumerate(extras_obj))
-    slots = {mark: perm(mark, obj.get(mark)) for mark in hurwitz.SPECIAL_MARKS}
+    slots = {mark: perm(mark, obj[mark]) for mark in hurwitz.SPECIAL_MARKS if mark in obj}
     try:
         return HurwitzCover(degree, **slots, extras=extras)
     except hurwitz.HurwitzError as exc:  # the input's refusal, not a fault inside the analysis

@@ -18,7 +18,7 @@ Fraction, so integer maps multiply and add in int arithmetic.  Every
 division goes through _div, which divides two ints exactly, to an int when
 the quotient is integral and to a Fraction otherwise, never to a float; so
 ordinary use is exact arithmetic over Q.  Evaluation at an int or a
-Fraction, and constant_value over Q, return a Fraction.  Because
+Fraction returns a Fraction.  Because
 RationalFunction itself satisfies the field protocol, towers such as
 Q(nu)[s] or Q(nu)(s)(t) come for free by nesting; a nested field's
 elements keep their own division.
@@ -338,18 +338,6 @@ class RationalFunction:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    @property
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
-    def constant_value(self):
-        if not self.is_constant:
-            raise ExactAlgebraError(f"{self!r} is not constant")
-        if self.num.is_zero:
-            return Fraction(0)
-        v = _div(self.num.coeffs[0], self.den.coeffs[0])
-        return Fraction(v) if isinstance(v, int) else v
 
     def __bool__(self):
         return not self.num.is_zero

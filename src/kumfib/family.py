@@ -19,13 +19,12 @@ f2 o f3) with all arithmetic over Q.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal
 
 from . import kodaira, mpolar
-from .exact import PoleError, Polynomial, RationalFunction, compose, rational_sqrt
+from .exact import PoleError, Polynomial, RationalFunction, compose
 from .permutations import Permutation
 
 _NU = RationalFunction.x()
@@ -210,33 +209,15 @@ def kummer_rhs(nu, s, t):
 class KummerPoint:
     """A point (nu, s, t, u) of the affine Kummer model.
 
-    Coordinates are either all exact (Fraction) or all floating (any numeric
-    type with abs, arbitrary-precision or Python float and complex), and are
-    kept as given.
+    The coordinates are elements of any one field, kept as given: Fraction,
+    Python float or complex, mpmath, or symbolic quotients of polynomials.
+    The point is on the surface when u^2 = kummer_rhs(nu, s, t).
     """
 
     nu: object
     s: object
     t: object
     u: object
-
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(v, Fraction) for v in (self.nu, self.s, self.t, self.u))
-
-    def on_surface(self, tol=1e-20) -> bool:
-        """Whether u^2 equals the defining product, exactly or within tol.
-
-        The floating test is relative to max(1, |rhs|, |u|^2); the default
-        tol assumes arbitrary-precision coordinates at a high working precision.
-        """
-        if self.nu in (1, -1):
-            raise PoleError("the affine model degenerates at nu = +-1")
-        rhs = kummer_rhs(self.nu, self.s, self.t)
-        diff = self.u * self.u - rhs
-        if self.is_exact:
-            return diff == 0
-        return abs(diff) <= tol * max(1, abs(rhs), abs(self.u) ** 2)
 
 
 def apply_involution(which: Involution, p: KummerPoint) -> KummerPoint:
@@ -263,33 +244,3 @@ def apply_involution(which: Involution, p: KummerPoint) -> KummerPoint:
         m = (nu - 1) / (nu + 1)
         return KummerPoint(m, t, m * m * s, m * m * m * u)
     raise ValueError(f"unknown involution {which!r}")
-
-
-def random_surface_point(rng) -> KummerPoint:
-    """A random exact on-surface point, for involution round-trip tests.
-
-    Draws rational (nu, s, t) = (a/b, c/d, e/f) until the defining product
-    is a rational square, then takes u to be its root.  The product is
-    N / (d^3 f^3 (a-b)^2 b^2) with the integer
-    N = c(c-d)(c(a-b)^2 - d(a+b)^2) * e(e-f)(e b^2 - f a^2), so it is a
-    positive rational square exactly when m = N d f is a positive integer
-    square; draws are tested in integers, and only the accepted one is
-    turned into Fractions.  A trial is one draw below 8 * 4 * 19 * 5 * 19 * 5,
-    read by divmod as a in 2..9, b in 1..4, c in -9..9, d in 1..5,
-    e in -9..9 and f in 1..5, lowest place first.
-    """
-    for _ in range(5000):
-        k, a = divmod(rng.randrange(8 * 4 * 19 * 5 * 19 * 5), 8)
-        k, b = divmod(k, 4)
-        k, c = divmod(k, 19)
-        k, d = divmod(k, 5)
-        f, e = divmod(k, 19)
-        a, b, c, d, e, f = a + 2, b + 1, c - 9, d + 1, e - 9, f + 1
-        if a == b or c == 0 or e == 0:  # nu = 1, s = 0 or t = 0
-            continue
-        s_part = c * (c - d) * (c * (a - b) ** 2 - d * (a + b) ** 2)
-        m = s_part * e * (e - f) * (e * b * b - f * a * a) * d * f
-        if m > 0 and math.isqrt(m) ** 2 == m:
-            nu, s, t = _F(a, b), _F(c, d), _F(e, f)
-            return KummerPoint(nu, s, t, rational_sqrt(kummer_rhs(nu, s, t)))
-    raise RuntimeError("failed to sample an on-surface point")

@@ -141,6 +141,10 @@ IOTA_PRIME_SCALES_T = _wrong_involution(
 BETA_HALVES_U = _wrong_involution(
     "beta", lambda p: family.KummerPoint(-p.nu, _ratio(p) ** 2 * p.s, p.t, Fraction(1, 2) * _ratio(p) ** 3 * p.u)
 )
+#: beta replaced by iota': it preserves the surface, so only the squares and the composition see it
+BETA_IS_IOTA_PRIME = _fault(
+    family, "apply_involution", lambda real: lambda w, p: real("iota_prime", p) if w == "beta" else real(w, p)
+)
 #: the shipped beta written with rational constants that cancel: still correct
 BETA_WITH_RATIONAL_CONSTANTS = _wrong_involution(
     "beta",
@@ -185,6 +189,7 @@ FAULTS = [
     ("kummer-involutions", "iota-without-swap", IOTA_WITHOUT_SWAP),
     ("kummer-involutions", "iota-prime-scales-t", IOTA_PRIME_SCALES_T),
     ("kummer-involutions", "beta-halves-u", BETA_HALVES_U),
+    ("kummer-involutions", "beta-is-iota-prime", BETA_IS_IOTA_PRIME),
     ("fixed-curve-data", "genus-shifted", _fault(hurwitz, "genus", lambda real: lambda c: real(c) + 1)),
     ("quintic-example", "c-by-y-wrong", lambda monkeypatch: monkeypatch.setitem(hodge.C_BY_Y, 4, 1)),
     ("regular-cover-example", "c-by-y-wrong", lambda monkeypatch: monkeypatch.setitem(hodge.C_BY_Y, 4, 1)),
@@ -233,8 +238,7 @@ def test_injected_fault_fails_its_check(monkeypatch, key, fault):
 
 def test_symbolic_residuals_run_the_shipped_maps(monkeypatch):
     # the symbolic identity is checked on family.apply_involution itself, so a
-    # wrong map fails it as well as the numerical points, and only that map's
-    # residual is nonzero
+    # wrong map fails it, and only that map's residual is nonzero
     label = "symbolic residuals"
     for wrong, fault in [
         ("beta", BETA_SCALES_S_BY_R_CUBED),
@@ -247,6 +251,24 @@ def test_symbolic_residuals_run_the_shipped_maps(monkeypatch):
         assert {w: r != 0 for w, r in residuals.items()} == {
             w: w == wrong for w in ("beta", "iota", "iota_prime")
         }, wrong
+
+
+def test_beta_is_iota_prime_fails_only_squares_and_composition(monkeypatch):
+    BETA_IS_IOTA_PRIME(monkeypatch)
+    result = verification.run_one("kummer-involutions")
+    assert {k for k in result.expected if result.expected[k] != result.actual[k]} == {"squares", "iota_prime"}
+    assert result.actual["squares"] == {"beta": ["nu", "s", "t", "u"], "iota": []}
+
+
+def test_involutions_draw_no_random_number(monkeypatch):
+    import random
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kummer-involutions drew a random number")
+
+    monkeypatch.setattr(random, "Random", refuse)
+    result = verification.run_one("kummer-involutions")
+    assert result.passed, result.actual
 
 
 def test_rational_constants_are_accepted(monkeypatch):

@@ -116,6 +116,20 @@ class TestReport:
         assert (code, out) == (2, "")
         assert err == "invalid document: cover.quarter256: point 1 appears twice; cycles must be disjoint\n"
 
+    @pytest.mark.parametrize(
+        "field, cover",
+        [
+            ("extras[0]", dict(REGULAR_COVER_DOC["cover"], extras=[None])),
+            ("zero", dict(REGULAR_COVER_DOC["cover"], zero=None)),
+        ],
+        ids=["extra", "mark"],
+    )
+    def test_null_permutation_exits_2(self, tmp_path, capsys, field, cover):
+        # a null is not read as the identity: only an absent mark is
+        code, out, err = run(["report", write_doc(tmp_path, {"cover": cover})], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"invalid document: cover.{field}: expected a cycle string, got None\n"
+
     def test_one_connectivity_test_per_report(self, tmp_path, capsys, monkeypatch):
         calls = []
         real = hurwitz.is_transitive

@@ -62,7 +62,7 @@ class TestPolynomial:
         assert type(Polynomial((2,))(3)) is F
         two, two_q = RationalFunction.constant(2), RationalFunction.constant(F(2))
         assert two == two_q and hash(two) == hash(two_q)
-        assert type(two.constant_value()) is F
+        assert two == F(2) and type(two(0)) is F
         assert {Place(Polynomial((F(-1), 1))): "one"}[Place.at(1)] == "one"
 
     def test_constant_hashes_as_the_number_it_equals(self, monkeypatch):
@@ -130,8 +130,10 @@ class TestRationalFunction:
 
     def test_constant_value_and_evaluation_over_q_of_a(self):
         # coefficients in Q(a), the tower delta-factorization builds: values are Q(a) elements
-        assert RationalFunction(Polynomial((X,))).constant_value() == X
-        assert RationalFunction(Polynomial((X,)), Polynomial((X + 1,))).constant_value() == X / (X + 1)
+        c = RationalFunction(Polynomial((X,)), Polynomial((X + 1,)))
+        assert c == RationalFunction.constant(X / (X + 1)) and c.den == Polynomial.one()
+        assert RationalFunction(Polynomial((X,)))(0) == X
+        assert type(c(0)) is RationalFunction and c(0) == X / (X + 1)
         g = RationalFunction(Polynomial((X, 1)), Polynomial((1, X)))  # (a + y) / (1 + a y)
         assert g(X + 1) == (2 * X + 1) / (1 + X * (X + 1))
         with pytest.raises(PoleError):
