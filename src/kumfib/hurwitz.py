@@ -124,12 +124,34 @@ def genus(cover: HurwitzCover) -> int:
 # -- branch data ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _profiles(n: int, x: tuple, y: tuple, z: tuple) -> tuple[tuple[int, ...], ...]:
+    """BranchData's x, y, z converted, sorted largest part first and checked against n.
+
+    Keyed on the values as given: equal numbers convert to the same ints, and
+    a refusal raises, so it is never stored.  Among Python's numbers the one
+    exception is a complex part such as 3+0j: int() refuses it, but it
+    matches the key of an equal int datum built before it.  The CLI refuses
+    it first.
+    """
+    # every partition is converted before any is validated
+    parts = tuple(tuple(sorted(exact_ints(p, HurwitzError), reverse=True)) for p in (x, y, z))
+    for name, part in zip("xyz", parts):
+        if part and part[-1] < 1:  # the least part is last
+            raise HurwitzError(f"partition {name} has nonpositive parts: {part}")
+        if sum(part) != n:
+            raise HurwitzError(f"partition {name}={part} does not sum to n={n}")
+    return parts
+
+
 @dataclass(frozen=True)
 class BranchData:
     """Combinatorial shell of a cover: degree and ramification partitions.
 
     x, y, z are the profiles over lambda = 0, infinity, 1/256 respectively;
     r is the total extra simple ramification away from the three marks.
+    Each (n, x, y, z) as given is validated once, in `_profiles`' 64-entry
+    memo; n and r are checked on every construction.
     """
 
     n: int
@@ -140,17 +162,13 @@ class BranchData:
 
     def __post_init__(self):
         n, r = exact_ints((self.n, self.r), HurwitzError)
-        # every partition is converted before any is validated
-        parts = [tuple(sorted(exact_ints(p, HurwitzError), reverse=True)) for p in (self.x, self.y, self.z)]
-        for name, part in zip("xyz", parts):
-            if part and part[-1] < 1:  # the least part is last
-                raise HurwitzError(f"partition {name} has nonpositive parts: {part}")
-            if sum(part) != n:
-                raise HurwitzError(f"partition {name}={part} does not sum to n={n}")
-            object.__setattr__(self, name, part)
+        x, y, z = _profiles(n, tuple(self.x), tuple(self.y), tuple(self.z))
         if r < 0:
             raise HurwitzError(f"negative extra ramification r={r}")
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
         object.__setattr__(self, "r", r)
 
     @property

@@ -443,7 +443,8 @@ def _check_cy_rh():
     # Both sides see a partition p only through len(p), as sum(p - 1) = n - len(p):
     # one datum per (n, k, l, m, r) stands for its class of x, y, z.  The
     # Calabi-Yau side counts the parts in this loop, not through BranchData,
-    # so a wrong BranchData.k, l or m cannot shift both sides alike.
+    # so a wrong BranchData.k, l or m cannot shift both sides alike.  r runs
+    # innermost, so that one validated (n, x, y, z) serves 2n data in a row.
     expected = f"checked {CY_RH_DOMAIN} branch data"
     count = 0
     for n in range(1, hurwitz.MAX_SEARCH_DEGREE + 1):
@@ -479,6 +480,7 @@ def _check_pullback_accounting():
         a = random_cover(d, 3)
         g = random_cover(n, 3)
         components = hurwitz.pullback(a, g)
+        cycle_types = [(getattr(a, m).cycle_type(), getattr(g, m).cycle_type()) for m in hurwitz.SPECIAL_MARKS]
         expected, actual = _split({
             "degree": (d * n, sum(degree for degree, _ in components)),
             "negative genera": ([], [genus for _, genus in components if genus < 0]),
@@ -487,9 +489,9 @@ def _check_pullback_accounting():
             "sum of 2g - 2": (
                 -2 * d * n + sum(
                     math.gcd(p, q) * (math.lcm(p, q) - 1)
-                    for mark in hurwitz.SPECIAL_MARKS
-                    for p in getattr(a, mark).cycle_type()
-                    for q in getattr(g, mark).cycle_type()
+                    for a_type, g_type in cycle_types
+                    for p in a_type
+                    for q in g_type
                 ),
                 sum(2 * genus - 2 for _, genus in components),
             ),

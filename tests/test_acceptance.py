@@ -90,7 +90,7 @@ def test_criterion_12_pinned_constants():
 
 def test_criterion_13_property_suites():
     # one datum per length class; a return to one per partition triple
-    # (238216 data, about 4 s) exceeds the budget
+    # (238216 data, about 1 s) shows as memo misses in test_hurwitz, not here
     _run(13, "cy-vs-riemann-hurwitz", budget_seconds=2.0)
     _run(13, "pullback-accounting")
     _run(13, "vieta")

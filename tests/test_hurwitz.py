@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from kumfib import hodge, hurwitz
+from kumfib import hodge, hurwitz, verification
 from kumfib.cli import admissible_branch_data
 from kumfib.hodge import CY_INFINITY_PROFILES
 from kumfib.hurwitz import (
@@ -249,11 +249,30 @@ class TestBranchData:
             (dict(y=(2.9, 1)), HurwitzError, "not an integer: 2.9"),
             (dict(r=0.5), HurwitzError, "not an integer: 0.5"),
             (dict(n=3.5), HurwitzError, "not an integer: 3.5"),
+            # the profiles memo hashes the parts before int() sees them
+            (dict(x=([3],)), TypeError, "unhashable type: 'list'"),
         ],
     )
     def test_error_messages(self, fields, error, message):
-        with pytest.raises(error, match=re.escape(message)):
-            BranchData(**{"n": 3, "x": (3,), "y": (2, 1), "z": (1, 1, 1), "r": 0, **fields})
+        # a refusal is never memoized: the second identical datum is refused alike
+        for _ in range(2):
+            with pytest.raises(error, match=re.escape(message)):
+                BranchData(**{"n": 3, "x": (3,), "y": (2, 1), "z": (1, 1, 1), "r": 0, **fields})
+
+    def test_memo_hit_on_equal_numbers_gives_ints(self):
+        hurwitz._profiles.cache_clear()
+        data = [BranchData(n=4.0, x=x, y=(2, 2), z=(4,), r=0) for x in ((1.0, 3.0), (1, 3))]
+        assert hurwitz._profiles.cache_info().hits == 1
+        assert data[0] == data[1] and hash(data[0]) == hash(data[1])
+        for b in data:
+            assert all(type(v) is int for v in (b.n, b.r, *b.x, *b.y, *b.z)), b
+
+    def test_cy_rh_validates_each_triple_once(self):
+        # 1296 (n, x, y, z) triples for n <= 8, each serving its 2n values of r
+        hurwitz._profiles.cache_clear()
+        assert verification.run_one("cy-vs-riemann-hurwitz").passed
+        info = hurwitz._profiles.cache_info()
+        assert (info.misses, info.hits) == (1296, 16248)
 
     def test_parts_converted_and_sorted(self):
         b = BranchData(n=4, x=["1", 3], y=(1.0, 2, 1), z=(4,), r=0)
