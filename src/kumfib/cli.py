@@ -405,7 +405,12 @@ def cmd_verify(args) -> int:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
+    """The command-line parser, built once per process.
+
+    Each subcommand's handler is looked up when it runs, not when the parser
+    is built, so a handler rebound after the first parse (a tracing wrapper,
+    a test's patch) is the one that runs.
+    """
     parser = argparse.ArgumentParser(
         prog="kumfib",
         description="Kummer-fibred Calabi-Yau threefold calculator",
@@ -414,7 +419,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="analyze a cover document")
     p_report.add_argument("file", help="JSON document (see module docstring)")
-    p_report.set_defaults(fn=cmd_report)
+    p_report.set_defaults(fn=lambda args: cmd_report(args))
 
     p_enum = sub.add_parser("enumerate", help="catalog admissible branch data")
     p_enum.add_argument("--max-degree", type=int, required=True)
@@ -422,13 +427,13 @@ def _parser() -> argparse.ArgumentParser:
     p_enum.add_argument(
         "--max-candidates", type=int, default=20_000, help="search budget per datum"
     )
-    p_enum.set_defaults(fn=cmd_enumerate)
+    p_enum.set_defaults(fn=lambda args: cmd_enumerate(args))
 
     sub.add_parser("monodromy", help="track the six roots around the punctures").set_defaults(
-        fn=cmd_monodromy
+        fn=lambda args: cmd_monodromy(args)
     )
     sub.add_parser("fibers", help="print the singular-fiber reference tables").set_defaults(
-        fn=cmd_fibers
+        fn=lambda args: cmd_fibers(args)
     )
 
     p_verify = sub.add_parser(
@@ -437,7 +442,7 @@ def _parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--only", nargs="+", metavar="KEY", help="restrict to the named checks"
     )
-    p_verify.set_defaults(fn=cmd_verify)
+    p_verify.set_defaults(fn=lambda args: cmd_verify(args))
     return parser
 
 

@@ -47,10 +47,11 @@ triples at BASE_PRECISION_BITS unless told otherwise (base_configuration is
 the one place the package imports mpmath), and Newton's method on S
 polishes the six roots in double precision.  The loops are then tracked in
 Python complex arithmetic by a predictor-corrector that follows the two
-triples: it corrects four roots per step, labels 1, 2, 4 and 5, and gets
-the third root of each triple by Vieta as minus the sum of the other two.
-It accepts a step only when none of the six roots moves more than a third
-of the previous minimum separation, refuses paths that bring two roots
+triples: it corrects one root per cubic, labels 1 and 4, and gets the other
+two of each triple by deflating its cubic, labeled by nearness to their
+previous positions.  It accepts a step only when none of the six roots
+moves more than a third of the previous minimum separation, sizes the next
+step from the movement it measured, refuses paths that bring two roots
 within a safety radius, and matches each root after the circle to a unique
 nearest root at the circle's edge.  A loop is a pure function of its spec
 and the precision of the base-point solve.  `kumfib monodromy` prints the
@@ -277,6 +278,17 @@ def _min_pairwise(roots):
     return min(map(abs, itertools.starmap(operator.sub, itertools.combinations(roots, 2))))
 
 
+def _other_roots(x1, a, near):
+    """The two roots of 4 xi^3 - 3 a xi - c besides its root x1, the one nearer near first.
+
+    Deflation leaves the quadratic xi^2 + x1 xi + x1^2 - 3a/4, with roots
+    (-x1 +- sqrt(3 (a - x1^2))) / 2.
+    """
+    r = cmath.sqrt(3 * (a - x1 * x1))
+    p, q = (r - x1) / 2, (-r - x1) / 2
+    return (q, p) if abs(q - near) < abs(p - near) else (p, q)
+
+
 def _track_pieces(pieces, roots, initial_steps, safety_radius):
     """Continue the six roots, given in label order, along the concatenated path pieces.
 
@@ -285,17 +297,20 @@ def _track_pieces(pieces, roots, initial_steps, safety_radius):
     each triple sums to zero.  Roots whose triples do not sum to zero
     (relative to the root scale) are refused with MonodromyError, not
     mislabeled.  Continuation keeps each triple the root set of one cubic,
-    so Euler's predictor and Newton's corrector run on entries 0, 1, 3 and
-    4 only, and entries 2 and 5 follow by Vieta as minus the sum of the
-    other two.  A step is accepted only when none of the six roots moves
-    more than a third of the previous minimum separation; a path that
-    brings two of them within safety_radius is refused.
+    so Euler's predictor and Newton's corrector run on entries 0 and 3
+    only, one root per cubic; the other two roots of each cubic follow by
+    deflation, each pair labeled by nearness to its previous positions.  A
+    step is accepted only when none of the six roots moves more than a
+    third of the previous minimum separation; a path that brings two of
+    them within safety_radius is refused.
 
     Every piece starts at max(initial_steps, 2) subdivisions (the maximum
     step size; one step around a full circle would end where it started).
-    A rejected step is halved; after an accepted step of size h the next
-    attempt is min(2 h, maximum), so steps shrink wherever the movement
-    bound demands it and grow back from there.
+    A rejected step is halved.  After an accepted step of size h that moved
+    no root more than moved, the next attempt is
+    h clamp(0.8 (new_min / 3) / moved, 0.5, 2), and at most the maximum,
+    with new_min the minimum separation after the step: it aims at 80 % of
+    the next movement bound, at the rate of movement the last step measured.
     """
     _check_triples(roots)
     roots = list(roots)
@@ -317,7 +332,7 @@ def _track_pieces(pieces, roots, initial_steps, safety_radius):
                 )
             # Euler's step xi - (S_lam / S_xi) dlam; S_lam = 2 C dC/dlambda - 3 lambda^2
             a3, lam_sq3 = 3 * a, 3 * lam * lam
-            tracked = (roots[0], roots[1], roots[3], roots[4])
+            tracked = (roots[0], roots[3])
             slopes = []
             for xi in tracked:
                 c2 = 2 * (((4 * xi) * xi - a3) * xi - b)
@@ -330,14 +345,16 @@ def _track_pieces(pieces, roots, initial_steps, safety_radius):
                 a2, b2 = _family_coeffs(lam2)
                 dlam = lam2 - lam
                 try:
-                    x1, x2, x4, x5 = _newton(
-                        [xi - s * dlam for xi, s in zip(tracked, slopes)], lam2, a2, b2
-                    )
+                    x1, x4 = _newton([xi - s * dlam for xi, s in zip(tracked, slopes)], lam2, a2, b2)
                 except MonodromyError:
                     pass
                 else:
-                    candidate = [x1, x2, -(x1 + x2), x4, x5, -(x4 + x5)]
-                    if max(map(abs, map(operator.sub, candidate, roots))) <= bound:
+                    candidate = [
+                        x1, *_other_roots(x1, a2, roots[1]),
+                        x4, *_other_roots(x4, a2, roots[4]),
+                    ]
+                    moved = max(map(abs, map(operator.sub, candidate, roots)))
+                    if moved <= bound:
                         break
                 step = step / 2
                 if step < dt_floor:
@@ -351,7 +368,8 @@ def _track_pieces(pieces, roots, initial_steps, safety_radius):
             roots = candidate
             t, lam, a, b = t2, lam2, a2, b2
             prev_min = new_min
-            dt = min(step * 2, max_dt)
+            growth = 0.8 * new_min / 3 / moved if moved else 2
+            dt = min(step * max(0.5, min(growth, 2)), max_dt)
             accepted += 1
     return roots
 

@@ -402,6 +402,25 @@ def test_stdout_is_pinned(capsys, command, digest):
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, handler",
+    [
+        (["report", "doc.json"], "cmd_report"),
+        (["enumerate", "--max-degree", "1"], "cmd_enumerate"),
+        (["monodromy"], "cmd_monodromy"),
+        (["fibers"], "cmd_fibers"),
+        (["verify-paper"], "cmd_verify"),
+    ],
+)
+def test_handler_looked_up_when_it_runs(monkeypatch, argv, handler):
+    # the parser is built once; a handler rebound after that still runs
+    cli._parser()
+    calls = []
+    monkeypatch.setattr(cli, handler, lambda args: calls.append(args.command) or 0)
+    assert cli.main(argv) == 0
+    assert calls == [argv[0]]
+
+
 class TestFibers:
     def test_reference_tables(self, capsys):
         code, out, _ = run(["fibers"], capsys)

@@ -259,6 +259,31 @@ class TestEdgeRead:
         assert track_loop(spec, bits) == monodromy._match(final, roots)
 
 
+class TestUnbranchedCollision:
+    """Two roots of one cubic meet over lambda = 1/81, but it is no puncture."""
+
+    def test_two_roots_meet_over_one_81st(self):
+        # C = b +- lambda^{3/2} has a double root exactly where C^2 = a^3
+        lam = F(1, 81)
+        a, b = family.LAMBDA_FAMILY.a_of_lambda(lam), family.LAMBDA_FAMILY.b_of_lambda(lam)
+        assert a != 0 and (a**3 - b**2 - lam**3) ** 2 == 4 * b**2 * lam**3
+
+    @pytest.mark.parametrize("steps", [64, 256])
+    @pytest.mark.parametrize("shrink", [1, 8])
+    def test_loop_about_one_81st_is_the_identity(self, steps, shrink):
+        # the quarter256 template about c = 1/81: out along the upper half
+        # circle with diameter [base point, c - r], then once around the circle
+        c = 1 / 81
+        r = (1 / 81 - 1 / 256) / 2 / shrink
+        base = float(monodromy.BASE_POINT)
+        out = monodromy._arc((base + c - r) / 2, (c - r - base) / 2, math.pi, 0)
+        circle = monodromy._arc(c, r, math.pi, 3 * math.pi)
+        roots = base_configuration(128)
+        edge = monodromy._track_pieces([out], roots, steps, _safety(roots))
+        final = monodromy._track_pieces([circle], edge, steps, _safety(roots))
+        assert monodromy._match(final, edge).is_identity
+
+
 class TestStepController:
     def test_next_attempt_grows_from_the_last_step(self):
         # after an accepted step of size h the next attempt is at most
@@ -286,37 +311,42 @@ class TestStepController:
                 prev, short = t, short + (h < max_dt / 2)
         assert short  # the bound bites: some accepted steps are short
 
-    def test_movement_bound_covers_the_vieta_roots(self, monkeypatch):
-        # one attempt corrects roots 1 and 2 to 0.6 of the bound away, in the
-        # same direction, and roots 4 and 5 in place: root 3, minus their
-        # sum, moves 1.2 of the bound, so the attempt is refused and the
-        # step halved
+    def test_movement_bound_refuses_a_swapped_pair(self, monkeypatch):
+        # on the first attempt the deflation hands back labels 2 and 3
+        # swapped: each of the two then moves by about their separation, more
+        # than the bound of a third of it, so the attempt is refused and the
+        # step halved, never mislabeled
         steps = 64
         roots = base_configuration(128)
-        shift = 0.6 * monodromy._min_pairwise(roots) / 3
         base = float(monodromy.BASE_POINT)
-        path = monodromy._segment(base, base + 1 / 1024)
-        newton, attempts = monodromy._newton, []
+        segment = monodromy._segment(base, base + 1 / 1024)
+        other_roots, deflations, attempts = monodromy._other_roots, [], []
 
-        def first_attempt_moved(starts, lam, a, b):
-            attempts.append(lam)
-            if len(attempts) == 1:
-                return [roots[0] + shift, roots[1] + shift, roots[3], roots[4]]
-            return newton(starts, lam, a, b)
+        def first_pair_swapped(x1, a, near):
+            # the first deflation is the first attempt's, of labels 2 and 3
+            deflations.append(near)
+            pair = other_roots(x1, a, near)
+            return pair[::-1] if len(deflations) == 1 else pair
 
-        monkeypatch.setattr(monodromy, "_newton", first_attempt_moved)
-        final = monodromy._track_pieces([path], roots, steps, _safety(roots))
-        first, second = (lam - base for lam in attempts[:2])
-        assert first == pytest.approx(1 / 1024 / steps) and second == pytest.approx(first / 2)
-        monkeypatch.setattr(monodromy, "_newton", newton)
-        unpatched = monodromy._track_pieces([path], roots, steps, _safety(roots))
+        def recording(t):
+            attempts.append(t)
+            return segment(t)
+
+        monkeypatch.setattr(monodromy, "_other_roots", first_pair_swapped)
+        final = monodromy._track_pieces([recording], roots, steps, _safety(roots))
+        assert deflations[0] == roots[1]
+        first, second = attempts[1:3]
+        assert first == pytest.approx(1 / steps) and second == pytest.approx(first / 2)
+        monkeypatch.setattr(monodromy, "_other_roots", other_roots)
+        unpatched = monodromy._track_pieces([segment], roots, steps, _safety(roots))
         assert max(map(abs, map(complex.__sub__, final, unpatched))) < 1e-12
 
     @pytest.mark.parametrize(
         "steps, counts",
         [
-            (64, {"zero": (186, 513), "quarter256": (278, 217), "infinity": (65, 65)}),
-            (256, {"zero": (356, 257), "quarter256": (444, 257), "infinity": (257, 257)}),
+            (64, {"zero": (110, 225), "quarter256": (147, 116), "infinity": (65, 65)}),
+            (256, {"zero": (293, 257), "quarter256": (329, 257), "infinity": (257, 257)}),
+            (128, {"zero": (170, 224), "quarter256": (207, 151), "infinity": (129, 129)}),
         ],
     )
     def test_path_evaluations_per_piece(self, steps, counts):
